@@ -42,9 +42,7 @@ use castg_core::{
 use castg_faults::FaultDictionary;
 use castg_macros::IvConverter;
 use castg_numeric::{BrentOptions, PowellOptions};
-use castg_spice::{
-    sparse_fill_stats, AnalysisOptions, DcAnalysis, LadderStats, OrderingKind, SolverKind,
-};
+use castg_spice::{sparse_fill_stats, DcAnalysis, LadderStats, OrderingKind};
 
 /// One workload's timings, all in seconds.
 struct WorkloadResult {
@@ -189,70 +187,6 @@ fn mesh_fill(min_unknowns: usize) -> MeshFill {
     }
 }
 
-/// Block-triangular statistics of the OTA-chain workload — the
-/// cascaded macro whose static (DC) pattern condenses into per-stage
-/// diagonal blocks — with the BTF-vs-AMD fill and DC solve-time
-/// comparison the CI gate asserts.
-struct BtfStats {
-    unknowns: usize,
-    pattern_nnz: usize,
-    blocks: usize,
-    largest_block: usize,
-    lu_nnz_btf: usize,
-    lu_nnz_amd: usize,
-    /// Best-of-reps wall time of one full forced-AMD DC solve.
-    dc_amd_s: f64,
-    /// Best-of-reps wall time of one full forced-BTF DC solve.
-    dc_btf_s: f64,
-    speedup: f64,
-}
-
-/// Measures BTF-vs-AMD factor fill and DC operating-point solve time on
-/// an OTA chain of at least `min_unknowns` MNA unknowns.
-fn btf_stats(min_unknowns: usize, reps: usize) -> BtfStats {
-    let mac = OtaChainMacro::with_unknowns(min_unknowns);
-    let circuit = mac.nominal_circuit();
-    let amd = sparse_fill_stats(&circuit, OrderingKind::Amd).expect("nominal chain is solvable");
-    let btf = sparse_fill_stats(&circuit, OrderingKind::Btf).expect("nominal chain is solvable");
-
-    // Forced-ordering DC solves on the *same* compiled plan, so after
-    // the first repetition both paths time steady-state Newton work
-    // (refactor + solve) the way campaigns pay for it. One warm-up rep
-    // per ordering absorbs the one-time symbolic analysis.
-    let time_dc = |ordering| {
-        let opts = AnalysisOptions {
-            solver: SolverKind::Sparse,
-            ordering,
-            ..AnalysisOptions::default()
-        };
-        let mut best = f64::INFINITY;
-        for rep in 0..reps.max(2) + 1 {
-            let t0 = Instant::now();
-            let sol = DcAnalysis::with_options(&circuit, opts).solve().expect("dc solve");
-            let dt = t0.elapsed().as_secs_f64();
-            assert!(sol.state().iter().all(|v| v.is_finite()));
-            if rep > 0 {
-                best = best.min(dt);
-            }
-        }
-        best
-    };
-    let dc_amd_s = time_dc(OrderingKind::Amd);
-    let dc_btf_s = time_dc(OrderingKind::Btf);
-
-    BtfStats {
-        unknowns: btf.unknowns,
-        pattern_nnz: btf.pattern_nnz,
-        blocks: btf.blocks,
-        largest_block: btf.largest_block,
-        lu_nnz_btf: btf.lu_nnz,
-        lu_nnz_amd: amd.lu_nnz,
-        dc_amd_s,
-        dc_btf_s,
-        speedup: dc_amd_s / dc_btf_s,
-    }
-}
-
 /// Evaluation-only campaign with synthetic DC test instances over a
 /// macro's `dc_out` configuration: isolates the inject + evaluate
 /// engine from optimizer noise, the way dictionary re-screens hammer it
@@ -318,7 +252,6 @@ fn run_eval(
 fn render_json(
     results: &[WorkloadResult],
     fill: &MeshFill,
-    btf: &BtfStats,
     iv_cold_start_iterations: usize,
 ) -> String {
     let mut out = String::from("{\n  \"workloads\": [\n");
@@ -370,21 +303,6 @@ fn render_json(
         "  \"mesh_fill\": {{\"unknowns\": {}, \"pattern_nnz\": {}, \
          \"lu_nnz_natural\": {}, \"lu_nnz_amd\": {}, \"reduction\": {:.3}}},",
         fill.unknowns, fill.pattern_nnz, fill.lu_nnz_natural, fill.lu_nnz_amd, fill.reduction,
-    );
-    let _ = writeln!(
-        out,
-        "  \"btf_stats\": {{\"unknowns\": {}, \"pattern_nnz\": {}, \"blocks\": {}, \
-         \"largest_block\": {}, \"lu_nnz_btf\": {}, \"lu_nnz_amd\": {}, \
-         \"dc_amd_s\": {:.6}, \"dc_btf_s\": {:.6}, \"speedup\": {:.3}}},",
-        btf.unknowns,
-        btf.pattern_nnz,
-        btf.blocks,
-        btf.largest_block,
-        btf.lu_nnz_btf,
-        btf.lu_nnz_amd,
-        btf.dc_amd_s,
-        btf.dc_btf_s,
-        btf.speedup,
     );
     let _ = writeln!(out, "  \"iv_cold_start_iterations\": {iv_cold_start_iterations}");
     out.push_str("}\n");
@@ -543,9 +461,8 @@ fn main() {
         eval_reps,
     ));
 
-    // OTA chain n = 512: the block-triangular workload — a cascade whose
-    // static pattern condenses into per-stage blocks, where Auto's third
-    // gate dispatches BTF.
+    // OTA chain n = 512: a 254-transistor cascade, the many-MOSFET DC
+    // Newton workload at scale.
     results.push(run_eval(
         "ota_chain_n512_eval",
         &OtaChainMacro::with_unknowns(512),
@@ -570,45 +487,7 @@ fn main() {
         fill.unknowns
     );
 
-    // BTF gate: the n ≥ 512 OTA chain must condense into more than one
-    // nontrivial diagonal block, its summed block fill must not exceed
-    // the global-AMD fill, and the forced-BTF DC solve must not be
-    // slower than forced-AMD (10 % slack absorbs container timing noise
-    // on the sub-millisecond solves; the structural win is ~the fill
-    // ratio).
-    let btf = btf_stats(512, if quick { 3 } else { reps.max(5) });
-    eprintln!(
-        "btf_stats: n={} blocks={} largest={} lu_nnz btf={} amd={} dc btf={:.6}s amd={:.6}s ({:.2}x)",
-        btf.unknowns,
-        btf.blocks,
-        btf.largest_block,
-        btf.lu_nnz_btf,
-        btf.lu_nnz_amd,
-        btf.dc_btf_s,
-        btf.dc_amd_s,
-        btf.speedup,
-    );
-    assert!(
-        btf.blocks > 1 && btf.largest_block < btf.unknowns,
-        "BTF condensation regressed: {} blocks, largest {} of n={}",
-        btf.blocks,
-        btf.largest_block,
-        btf.unknowns
-    );
-    assert!(
-        btf.lu_nnz_btf <= btf.lu_nnz_amd,
-        "BTF fill regressed: {} (btf) vs {} (amd)",
-        btf.lu_nnz_btf,
-        btf.lu_nnz_amd
-    );
-    assert!(
-        btf.dc_btf_s <= btf.dc_amd_s * 1.10,
-        "BTF DC solve regressed: {:.6}s (btf) vs {:.6}s (amd)",
-        btf.dc_btf_s,
-        btf.dc_amd_s
-    );
-
-    let json = render_json(&results, &fill, &btf, iv_cold);
+    let json = render_json(&results, &fill, iv_cold);
     std::fs::write(&out_path, &json).expect("write BENCH_campaign.json");
     print!("{json}");
 

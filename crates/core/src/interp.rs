@@ -370,7 +370,7 @@ impl DescribedConfig {
     /// Forces the solver path every measurement of this configuration
     /// dispatches through — `Auto`/`Auto` (the default) lets the
     /// density and fill heuristics decide per circuit; forcing
-    /// `Sparse` + `Btf`/`Amd`/`Natural` pins one arm, the way the
+    /// `Sparse` + `Amd`/`Natural` pins one arm, the way the
     /// differential harnesses and the `castg --ordering` flag do.
     #[must_use]
     pub fn with_solver(mut self, solver: SolverKind, ordering: OrderingKind) -> Self {

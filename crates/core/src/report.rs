@@ -205,14 +205,20 @@ pub fn render_json_report(
     let _ = writeln!(s, "  \"per_fault\": [");
     for (i, f) in coverage.per_fault.iter().enumerate() {
         let comma = if i + 1 < coverage.per_fault.len() { "," } else { "" };
+        // JSON has no infinity: rows that never ran a test keep the
+        // `f64::INFINITY` sentinel and render it as `null`.
+        let sensitivity = if f.best_sensitivity.is_finite() {
+            format!("{:e}", f.best_sensitivity)
+        } else {
+            "null".to_string()
+        };
         let _ = writeln!(
             s,
             "    {{\"fault\": \"{}\", \"detected\": {}, \"best_test\": {}, \
-             \"best_sensitivity\": {:e}, \"outcome\": \"{}\"}}{comma}",
+             \"best_sensitivity\": {sensitivity}, \"outcome\": \"{}\"}}{comma}",
             json_escape(&f.fault),
             f.detected,
             f.best_test,
-            f.best_sensitivity,
             json_escape(&f.outcome.to_string()),
         );
     }

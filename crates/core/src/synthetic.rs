@@ -27,10 +27,9 @@
 //!   bridge+pinhole dictionary.
 //!
 //! The scalable macros accept a solver/ordering override
-//! (`with_solver`) so the four-way differential tests can force
-//! Dense, Sparse-Natural, Sparse-AMD and Sparse-BTF evaluation of one
-//! workload; the default is `Auto`/`Auto`, identical to every other
-//! analysis.
+//! (`with_solver`) so the three-way differential tests can force
+//! Dense, Sparse-Natural and Sparse-AMD evaluation of one workload; the
+//! default is `Auto`/`Auto`, identical to every other analysis.
 
 use std::sync::Arc;
 
@@ -47,9 +46,9 @@ use crate::descr::{ConfigDescription, ParamSpec, PortAction};
 use crate::{AnalogMacro, CoreError, TestConfiguration};
 
 /// Analysis options a scalable macro's configurations solve with:
-/// the default `Auto`/`Auto` everywhere except the four-way
-/// (Dense / Sparse-Natural / Sparse-AMD / Sparse-BTF) differential
-/// harnesses, which force a path via `with_solver`.
+/// the default `Auto`/`Auto` everywhere except the three-way
+/// (Dense / Sparse-Natural / Sparse-AMD) differential harnesses, which
+/// force a path via `with_solver`.
 fn solve_options(solver: SolverKind, ordering: OrderingKind) -> AnalysisOptions {
     AnalysisOptions { solver, ordering, ..AnalysisOptions::default() }
 }
@@ -613,14 +612,11 @@ impl TestConfiguration for LadderStepConfig {
 /// The Norton form solves the *same node equations* as the rail-tied
 /// divider/load form (each `(V(rail) − v)/R` branch contributes the
 /// identical `v/R − V/R` terms), but it keeps the 5 V rail out of
-/// every stage's connectivity: with no resistor touching `vdd`, the
-/// MNA digraph decomposes into a chain of small strongly connected
-/// components — `{vdd, br_VDD}`, `{vin, br_VIN, g1}`, one `{dᵢ,
-/// gᵢ₊₁}` pair per interior stage (the MOS gate draws no DC current,
-/// so `gᵢ → dᵢ` is one-directional while the coupling resistor is
-/// symmetric), and `{out}` — which is exactly the structure the
-/// sparse LU's BTF ordering exploits. A rail-tied chain is one giant
-/// SCC and BTF degenerates to a single block.
+/// every stage's connectivity: with no resistor touching `vdd`, each
+/// stage's DC pattern couples only to its neighbours (the MOS gate
+/// draws no DC current, so `gᵢ → dᵢ` is one-directional while the
+/// coupling resistor is symmetric), instead of every stage sharing a
+/// dense `vdd` row and column.
 ///
 /// # Example
 ///
@@ -671,9 +667,9 @@ impl OtaChainMacro {
 
     /// Forces the linear-solver path and sparse-LU ordering every
     /// configuration of this macro solves with (default `Auto`/`Auto`).
-    /// The four-way differential harness evaluates one dictionary
-    /// through Dense, Sparse-Natural, Sparse-AMD and Sparse-BTF
-    /// variants built with this.
+    /// The three-way differential harness evaluates one dictionary
+    /// through Dense, Sparse-Natural and Sparse-AMD variants built with
+    /// this.
     pub fn with_solver(mut self, solver: SolverKind, ordering: OrderingKind) -> Self {
         self.solver = solver;
         self.ordering = ordering;
@@ -1797,28 +1793,6 @@ mod tests {
         let auto = sparse_fill_stats(&c, OrderingKind::Auto).unwrap();
         assert_eq!(auto.resolved, OrderingKind::Amd);
         assert_eq!(auto.lu_nnz, amd.lu_nnz);
-    }
-
-    /// The Norton-biased OTA chain is the workload the BTF ordering
-    /// exists for: the cascade must condense into many small strongly
-    /// connected components (one per stage pair, roughly), and the
-    /// summed per-block fill must not exceed the global-AMD fill.
-    #[test]
-    fn ota_chain_btf_condenses_and_fill_beats_amd() {
-        use castg_spice::{sparse_fill_stats, OrderingKind};
-        let m = OtaChainMacro::with_unknowns(512);
-        let c = m.nominal_circuit();
-        let amd = sparse_fill_stats(&c, OrderingKind::Amd).unwrap();
-        let btf = sparse_fill_stats(&c, OrderingKind::Btf).unwrap();
-        assert_eq!(btf.resolved, OrderingKind::Btf, "cascade must condense");
-        assert!(btf.blocks > 1, "expected >1 diagonal block, got {}", btf.blocks);
-        assert!(
-            btf.largest_block < m.unknowns() / 2,
-            "largest block {} should be far below n={}",
-            btf.largest_block,
-            m.unknowns()
-        );
-        assert!(btf.lu_nnz <= amd.lu_nnz, "btf {} vs amd {}", btf.lu_nnz, amd.lu_nnz);
     }
 
     #[test]

@@ -10,8 +10,8 @@ pub enum NumericError {
     SingularMatrix {
         /// Column index at which elimination found no usable pivot, in
         /// the matrix's **original** (unpermuted) column space — sparse
-        /// factorizations map their fill-reducing/BTF pivot position
-        /// back before reporting, so callers can name the unknown.
+        /// factorizations map their fill-reducing pivot position back
+        /// before reporting, so callers can name the unknown.
         pivot: usize,
     },
     /// Matrix or vector dimensions do not agree for the requested operation.

@@ -54,10 +54,9 @@
 //! (`tests/sparse_differential.rs`, `crates/numeric/tests/
 //! proptest_sparse.rs`) pins the two paths to 1e-9 relative agreement.
 //!
-//! # Orderings and block-triangular decomposition
+//! # Orderings
 //!
-//! The sparse factorization supports three preorderings, in increasing
-//! structural ambition:
+//! The sparse factorization supports two column preorderings:
 //!
 //! * **Natural** — factor in stamping order. Optimal for banded
 //!   (ladder/chain) patterns, where any permutation only adds fill.
@@ -65,30 +64,10 @@
 //!   minimum degree column ordering. Cuts mesh/crossbar factor fill by
 //!   2–3× (the committed `BENCH_campaign.json` records 2.4× on a 578-
 //!   unknown mesh) at the price of a one-time symbolic analysis.
-//! * **BTF** ([`SparsePattern::btf_order`], applied via
-//!   [`SparseLu::set_btf_order`]) — the KLU-style block-triangular
-//!   decomposition: a maximum transversal
-//!   ([`SparsePattern::max_transversal`], Duff's MC21) puts a zero-free
-//!   diagonal on the pattern, Tarjan's SCC condensation of the resulting
-//!   digraph yields a block *upper* triangular permutation, and each
-//!   diagonal block gets its own local AMD ordering. Only the diagonal
-//!   blocks are factored — off-diagonal coupling entries are stored raw
-//!   and retired during back-substitution in reverse block order — so
-//!   fill cannot spread across blocks, pivoting stays block-local, and
-//!   *independent* diagonal blocks can be refactored on scoped worker
-//!   threads ([`SparseLu::set_threads`]) with bit-identical results at
-//!   any thread count. The win case is one-directional macro chains
-//!   (cascaded stages whose DC pattern has no feedback): a 512-unknown
-//!   OTA chain condenses into ~260 blocks of size ≤ 2 and its DC solve
-//!   runs ~10 % faster than global AMD; on irreducible patterns
-//!   (meshes, feedback loops) the condensation finds one block and the
-//!   caller should fall back to AMD — `castg-spice`'s `OrderingKind`
-//!   dispatch does exactly that.
 //!
-//! The block structure travels inside the shared [`SparseSymbolic`]
-//! ([`SparseSymbolic::blocks`], [`SparseSymbolic::block_fill`]), so
-//! campaign variants inherit the decomposition with the symbolic
-//! skeleton.
+//! The ordering travels inside the shared [`SparseSymbolic`]
+//! ([`SparseSymbolic::ordering`]), so campaign variants inherit it with
+//! the symbolic skeleton.
 //!
 //! # Example
 //!
@@ -106,7 +85,6 @@
 
 mod bounds;
 mod brent;
-pub mod btf;
 pub mod complex;
 mod error;
 pub mod grid;
@@ -117,7 +95,6 @@ pub mod sparse;
 pub mod stats;
 
 pub use bounds::{Bounds, ParamSpace};
-pub use btf::BtfOrder;
 pub use brent::{brent_min, golden_section_min, BrentOptions, Minimum};
 pub use complex::{CMatrix, Complex};
 pub use error::NumericError;

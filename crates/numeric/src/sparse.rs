@@ -66,10 +66,8 @@
 //! # Ok::<(), castg_numeric::NumericError>(())
 //! ```
 
-use std::ops::Range;
 use std::sync::Arc;
 
-use crate::btf::BtfOrder;
 use crate::{Matrix, NumericError};
 
 /// Pivots with absolute value below this threshold are treated as zero
@@ -526,21 +524,6 @@ pub struct SparseSymbolic {
     /// Whether `colperm` is a non-identity permutation (the solve path
     /// needs a scatter through it only then).
     permuted: bool,
-    /// Diagonal-block boundaries in pivot positions: block `b` spans
-    /// `block_ptr[b]..block_ptr[b+1]`. A plain (non-BTF) factorization
-    /// is the single block `[0, n]`.
-    block_ptr: Vec<usize>,
-    /// Off-diagonal coupling structure (BTF only; empty otherwise):
-    /// per-column CSC of the entries of `P·A·Q` that land *above* the
-    /// diagonal blocks. Row indices are pivot positions in earlier
-    /// blocks; the values stay raw `A` entries (never factored), stored
-    /// in `SparseLu::ox`.
-    op: Vec<usize>,
-    oi: Vec<usize>,
-    /// The BTF preordering this skeleton factors under, if any —
-    /// carried so stability fallbacks and reseeded workspaces keep the
-    /// same block structure.
-    btf: Option<Arc<BtfOrder>>,
 }
 
 impl SparseSymbolic {
@@ -565,44 +548,10 @@ impl SparseSymbolic {
     }
 
     /// Structural nonzeros the factorization stores: `L + U` with the
-    /// diagonal counted once, plus (for BTF skeletons) the raw
-    /// off-diagonal coupling entries — the fill metric ordering quality
-    /// is judged by. Identical to [`block_fill`](SparseSymbolic::block_fill)
-    /// for non-BTF skeletons.
+    /// diagonal counted once — the fill metric ordering quality is
+    /// judged by.
     pub fn fill_nnz(&self) -> usize {
-        self.block_fill() + self.oi.len()
-    }
-
-    /// Summed fill of the diagonal blocks alone (`L + U` nonzeros with
-    /// the diagonal counted once, excluding the raw off-diagonal
-    /// coupling entries) — the part of the storage that factorization
-    /// actually creates.
-    pub fn block_fill(&self) -> usize {
         self.li.len() + self.ui.len() + self.dim()
-    }
-
-    /// Diagonal-block boundaries in pivot positions: block `b` spans
-    /// `blocks()[b]..blocks()[b+1]`. A plain factorization reports the
-    /// single block `[0, n]`.
-    pub fn blocks(&self) -> &[usize] {
-        &self.block_ptr
-    }
-
-    /// Number of diagonal blocks (1 for any non-BTF skeleton of a
-    /// nonempty matrix).
-    pub fn block_count(&self) -> usize {
-        self.block_ptr.len().saturating_sub(1)
-    }
-
-    /// Number of raw off-diagonal coupling entries (0 for non-BTF
-    /// skeletons).
-    pub fn off_nnz(&self) -> usize {
-        self.oi.len()
-    }
-
-    /// The BTF preordering this skeleton factors under, if any.
-    pub fn btf(&self) -> Option<&Arc<BtfOrder>> {
-        self.btf.as_ref()
     }
 
     /// The column pre-ordering this skeleton factors under:
@@ -657,19 +606,6 @@ pub struct SparseLu {
     /// Position-space scratch for the permuted solve path.
     solve_buf: Vec<f64>,
     factored: bool,
-    /// Numeric payload of the raw off-diagonal coupling entries
-    /// (aligned with the symbolic `oi`; empty for non-BTF skeletons).
-    ox: Vec<f64>,
-    /// Block-triangular preordering requested via
-    /// [`set_btf_order`](SparseLu::set_btf_order); consulted (not
-    /// consumed) by every full factorization whose dimension matches.
-    btf: Option<Arc<BtfOrder>>,
-    /// Worker threads for block-parallel refactorization (0 or 1 =
-    /// serial). Results are bit-identical at every thread count.
-    threads: usize,
-    /// Cached per-worker accumulators for the parallel refactorization
-    /// (each sized `n`, kept zeroed between uses).
-    thread_work: Vec<Vec<f64>>,
 }
 
 impl SparseLu {
@@ -714,49 +650,11 @@ impl SparseLu {
     /// The next matching full factorization panics if `perm` is not a
     /// permutation of `0..perm.len()`.
     pub fn set_ordering(&mut self, perm: Vec<usize>) {
-        if self.symbolic.as_ref().is_some_and(|s| s.colperm != perm || s.btf.is_some()) {
+        if self.symbolic.as_ref().is_some_and(|s| s.colperm != perm) {
             self.symbolic = None;
             self.factored = false;
         }
-        self.btf = None;
         self.ordering = Some(perm);
-    }
-
-    /// Sets a block-triangular preordering (see
-    /// [`SparsePattern::btf_order`]) for subsequent **full**
-    /// factorizations: elimination is restricted to the diagonal
-    /// blocks, the off-diagonal coupling entries are stored raw, and
-    /// the solve back-substitutes through them in reverse block order.
-    /// Supersedes a pending [`set_ordering`](SparseLu::set_ordering)
-    /// request; a stored skeleton with a different block structure is
-    /// dropped so the next [`factor`](SparseLu::factor) honors the
-    /// request.
-    ///
-    /// The order **must** describe the pattern of the matrices this
-    /// workspace will factor (computed from it, or from a pattern with
-    /// identical structure): the next matching full factorization
-    /// panics if a structural entry falls below the block diagonal.
-    pub fn set_btf_order(&mut self, order: Arc<BtfOrder>) {
-        let matches = |s: &SparseSymbolic| {
-            s.btf.as_ref().is_some_and(|b| {
-                b.colperm == order.colperm && b.block_ptr == order.block_ptr
-            })
-        };
-        if self.symbolic.as_ref().is_some_and(|s| !matches(s)) {
-            self.symbolic = None;
-            self.factored = false;
-        }
-        self.ordering = None;
-        self.btf = Some(order);
-    }
-
-    /// Sets the worker-thread count for block-parallel numeric
-    /// refactorization (0 or 1 = serial). Only BTF skeletons with more
-    /// than one diagonal block fan out; results are **bit-identical**
-    /// at every thread count (each block's arithmetic is self-contained
-    /// and unchanged by the partitioning).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
     }
 
     /// Adopts a shared symbolic skeleton computed elsewhere: the next
@@ -776,17 +674,11 @@ impl SparseLu {
         if self.ordering.as_ref().is_some_and(|p| p[..] != symbolic.colperm[..]) {
             self.ordering = None;
         }
-        // Likewise the skeleton's block structure (or lack of one) wins
-        // over a pending BTF request, so stability fallbacks re-factor
-        // under the blocks the skeleton was analyzed with.
-        self.btf = symbolic.btf.clone();
         let n = symbolic.dim();
         self.lx.clear();
         self.lx.resize(symbolic.l_nnz(), 0.0);
         self.ux.clear();
         self.ux.resize(symbolic.u_nnz(), 0.0);
-        self.ox.clear();
-        self.ox.resize(symbolic.off_nnz(), 0.0);
         self.udiag.clear();
         self.udiag.resize(n, 0.0);
         self.work.clear();
@@ -847,32 +739,22 @@ impl SparseLu {
             // Substitute in pivot/position space, then scatter position
             // k back to original unknown colperm[k].
             let y = &mut self.solve_buf;
-            Self::substitute(sym, &self.lx, &self.ux, &self.ox, &self.udiag, b, y);
+            Self::substitute(sym, &self.lx, &self.ux, &self.udiag, b, y);
             for (k, &col) in sym.colperm.iter().enumerate() {
                 x[col] = y[k];
             }
         } else {
-            Self::substitute(sym, &self.lx, &self.ux, &self.ox, &self.udiag, b, x);
+            Self::substitute(sym, &self.lx, &self.ux, &self.udiag, b, x);
         }
         Ok(())
     }
 
     /// The permutation-gather + forward/backward substitution shared by
-    /// both solve paths: `x = U⁻¹ L⁻¹ P b` in pivot-order coordinates,
-    /// block by block.
-    ///
-    /// Diagonal blocks are processed in **reverse** order (the permuted
-    /// matrix is block *upper* triangular): each block runs the usual
-    /// forward/backward substitution against its own L/U, and as a
-    /// component is finalized its raw off-diagonal coupling entries are
-    /// subtracted from the earlier blocks' right-hand sides. With a
-    /// single block (every non-BTF skeleton) the loops reduce exactly
-    /// to the classic whole-matrix substitution.
+    /// both solve paths: `x = U⁻¹ L⁻¹ P b` in pivot-order coordinates.
     fn substitute(
         sym: &SparseSymbolic,
         lx: &[f64],
         ux: &[f64],
-        ox: &[f64],
         udiag: &[f64],
         b: &[f64],
         x: &mut [f64],
@@ -881,30 +763,24 @@ impl SparseLu {
         for (k, &orig) in sym.rowperm.iter().enumerate() {
             x[k] = b[orig];
         }
-        for blk in (0..sym.block_count()).rev() {
-            let (s, e) = (sym.block_ptr[blk], sym.block_ptr[blk + 1]);
-            // Forward substitution with the block's unit-lower L
-            // (column-oriented: entry rows are all > the column).
-            for k in s..e {
-                let xk = x[k];
-                if xk != 0.0 {
-                    for p in sym.lp[k]..sym.lp[k + 1] {
-                        x[sym.li[p]] -= lx[p] * xk;
-                    }
+        // Forward substitution with unit-lower L (column-oriented:
+        // entry rows are all > the column).
+        let n = sym.dim();
+        for k in 0..n {
+            let xk = x[k];
+            if xk != 0.0 {
+                for p in sym.lp[k]..sym.lp[k + 1] {
+                    x[sym.li[p]] -= lx[p] * xk;
                 }
             }
-            // Backward substitution with the block's U; a finalized
-            // component also retires its couplings into earlier blocks.
-            for j in (s..e).rev() {
-                let xj = x[j] / udiag[j];
-                x[j] = xj;
-                if xj != 0.0 {
-                    for p in sym.up[j]..sym.up[j + 1] {
-                        x[sym.ui[p]] -= ux[p] * xj;
-                    }
-                    for p in sym.op[j]..sym.op[j + 1] {
-                        x[sym.oi[p]] -= ox[p] * xj;
-                    }
+        }
+        // Backward substitution with U.
+        for j in (0..n).rev() {
+            let xj = x[j] / udiag[j];
+            x[j] = xj;
+            if xj != 0.0 {
+                for p in sym.up[j]..sym.up[j + 1] {
+                    x[sym.ui[p]] -= ux[p] * xj;
                 }
             }
         }
@@ -916,27 +792,13 @@ impl SparseLu {
     fn full_factor(&mut self, a: &SparseMatrix) -> Result<(), NumericError> {
         let n = a.dim();
         let pat = a.pattern();
-        // Block-triangular preordering: an explicitly set BTF order of
-        // matching dimension wins; otherwise a stability fallback from
-        // a seeded skeleton of the same pattern keeps that skeleton's
-        // blocks (unless an explicit plain ordering overrides them).
-        let btf: Option<Arc<BtfOrder>> = match &self.btf {
-            Some(b) if b.dim() == n => Some(Arc::clone(b)),
-            _ => match (&self.ordering, &self.symbolic) {
-                (Some(perm), _) if perm.len() == n => None,
-                (_, Some(sym)) if Arc::ptr_eq(sym.pattern(), pat) => sym.btf.clone(),
-                _ => None,
-            },
-        };
-        // Column pre-ordering: the BTF order's composed permutation;
-        // else an explicitly set ordering of matching dimension;
-        // otherwise a stability fallback from a seeded skeleton of the
-        // same pattern keeps that skeleton's ordering (the ordering is
-        // a property of the pattern, not the values); otherwise natural
-        // order.
-        let colperm: Vec<usize> = match (&btf, &self.ordering) {
-            (Some(b), _) => b.colperm.clone(),
-            (None, Some(perm)) if perm.len() == n => {
+        // Column pre-ordering: an explicitly set ordering of matching
+        // dimension; otherwise a stability fallback from a seeded
+        // skeleton of the same pattern keeps that skeleton's ordering
+        // (the ordering is a property of the pattern, not the values);
+        // otherwise natural order.
+        let colperm: Vec<usize> = match &self.ordering {
+            Some(perm) if perm.len() == n => {
                 let mut seen = vec![false; n];
                 for &c in perm {
                     assert!(
@@ -951,36 +813,6 @@ impl SparseLu {
                 _ => (0..n).collect(),
             },
         };
-        let block_ptr: Vec<usize> = match &btf {
-            Some(b) => {
-                // The order must block-triangularize *this* pattern:
-                // every structural entry has to land at or above its
-                // column's diagonal block, or the factorization below
-                // would silently break triangularity.
-                let mut blk_of_pos = vec![0usize; n];
-                for blk in 0..b.block_count() {
-                    blk_of_pos[b.block_ptr[blk]..b.block_ptr[blk + 1]].fill(blk);
-                }
-                let mut rpos = vec![0usize; n];
-                let mut cpos = vec![0usize; n];
-                for k in 0..n {
-                    rpos[b.rowperm[k]] = k;
-                    cpos[b.colperm[k]] = k;
-                }
-                for c in 0..n {
-                    for &r in &pat.row_idx[pat.col_ptr[c]..pat.col_ptr[c + 1]] {
-                        assert!(
-                            blk_of_pos[rpos[r]] <= blk_of_pos[cpos[c]],
-                            "BTF order does not match the matrix pattern: \
-                             entry ({r},{c}) falls below the block diagonal"
-                        );
-                    }
-                }
-                b.block_ptr.clone()
-            }
-            None if n == 0 => vec![0],
-            None => vec![0, n],
-        };
         let permuted = colperm.iter().enumerate().any(|(k, &c)| k != c);
         self.factored = false;
         self.symbolic = None;
@@ -992,18 +824,14 @@ impl SparseLu {
         let mut li: Vec<usize> = Vec::with_capacity(pat.nnz());
         let mut up: Vec<usize> = Vec::with_capacity(n + 1);
         let mut ui: Vec<usize> = Vec::with_capacity(pat.nnz());
-        let mut op: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut oi: Vec<usize> = Vec::new();
         let mut pinv = vec![EMPTY; n];
         let mut rowperm = vec![EMPTY; n];
         self.lx.clear();
         self.ux.clear();
-        self.ox.clear();
         self.udiag.clear();
         self.udiag.resize(n, 0.0);
         lp.push(0);
         up.push(0);
-        op.push(0);
 
         self.work.clear();
         self.work.resize(n, 0.0);
@@ -1011,21 +839,13 @@ impl SparseLu {
         self.flag.resize(n, 0);
         self.mark = 0;
 
-        let mut cur_block = 0usize;
         for j in 0..n {
-            // Elimination step j processes original column `col`,
-            // inside diagonal block `[s, block end)`.
+            // Elimination step j processes original column `col`.
             let col = colperm[j];
-            while j >= block_ptr[cur_block + 1] {
-                cur_block += 1;
-            }
-            let s = block_ptr[cur_block];
             // --- Symbolic: rows reachable from A(:,col) through the
-            // DAG of already-computed L columns of *this block*, in
-            // topological order. Nodes are *original* rows; a row that
-            // is pivotal for step k in [s, j) has children = the rows
-            // of L(:,k). Rows pivotal in earlier blocks are leaves:
-            // their entries stay raw off-diagonal couplings.
+            // DAG of already-computed L columns, in topological order.
+            // Nodes are *original* rows; a row that is pivotal for step
+            // k < j has children = the rows of L(:,k).
             self.mark += 1;
             self.reach.clear();
             for p in pat.col_ptr[col]..pat.col_ptr[col + 1] {
@@ -1036,7 +856,6 @@ impl SparseLu {
                         &lp,
                         &li,
                         &pinv,
-                        s,
                         &mut self.dfs,
                         &mut self.flag,
                         self.mark,
@@ -1055,7 +874,7 @@ impl SparseLu {
             }
             for &r in self.reach.iter().rev() {
                 let k = pinv[r];
-                if k == EMPTY || k < s {
+                if k == EMPTY {
                     continue;
                 }
                 let ukj = self.work[r];
@@ -1092,20 +911,12 @@ impl SparseLu {
                 // position — callers name the MNA unknown from it.
                 return Err(NumericError::SingularMatrix { pivot: colperm[j] });
             }
-            // The preferred pivot row: the matrix diagonal (original
-            // row `col`), or under BTF the transversal row the order
-            // matched to this column (which is what makes the permuted
-            // diagonal zero-free).
-            let pref = match &btf {
-                Some(b) => b.rowperm[j],
-                None => col,
-            };
-            if pivot_row != pref
-                && pinv[pref] == EMPTY
-                && self.flag[pref] == self.mark
-                && self.work[pref].abs() >= DIAG_PREFERENCE * pivot_mag
+            if pivot_row != col
+                && pinv[col] == EMPTY
+                && self.flag[col] == self.mark
+                && self.work[col].abs() >= DIAG_PREFERENCE * pivot_mag
             {
-                pivot_row = pref;
+                pivot_row = col;
             }
             let ujj = self.work[pivot_row];
             pinv[pivot_row] = j;
@@ -1124,14 +935,7 @@ impl SparseLu {
                 if r == pivot_row {
                     continue;
                 }
-                if k != EMPTY && k < s {
-                    // Coupling into an earlier diagonal block: stored
-                    // raw (never factored), consumed by the block
-                    // back-substitution. `k` is final — earlier blocks
-                    // are fully pivoted.
-                    oi.push(k);
-                    self.ox.push(v);
-                } else if k != EMPTY && k < j {
+                if k != EMPTY && k < j {
                     ui.push(k);
                     self.ux.push(v);
                 } else {
@@ -1143,7 +947,6 @@ impl SparseLu {
             }
             lp.push(li.len());
             up.push(ui.len());
-            op.push(oi.len());
         }
 
         // Remap L's row indices from original rows to pivot positions
@@ -1178,10 +981,6 @@ impl SparseLu {
             rowperm,
             colperm,
             permuted,
-            block_ptr,
-            op,
-            oi,
-            btf,
         }));
         self.factored = true;
         Ok(())
@@ -1197,7 +996,6 @@ impl SparseLu {
         lp: &[usize],
         li: &[usize],
         pinv: &[usize],
-        block_start: usize,
         dfs: &mut Vec<(usize, usize)>,
         flag: &mut [usize],
         mark: usize,
@@ -1208,10 +1006,8 @@ impl SparseLu {
         flag[root] = mark;
         while let Some((r, child)) = dfs.pop() {
             let k = pinv[r];
-            let (lo, hi) = if k == EMPTY || k < block_start {
-                // Non-pivotal rows — and rows pivotal in an earlier
-                // diagonal block, whose entries stay raw off-diagonal
-                // couplings — have no children.
+            let (lo, hi) = if k == EMPTY {
+                // Non-pivotal rows have no children.
                 (0, 0)
             } else {
                 (lp[k], lp[k + 1])
@@ -1249,59 +1045,13 @@ impl SparseLu {
     /// ([`factor`](SparseLu::factor)) falls back to a full
     /// factorization on any error.
     fn refactor(&mut self, a: &SparseMatrix) -> Result<(), NumericError> {
-        let n = a.dim();
+        let pat = a.pattern();
         let sym = self.symbolic.clone().expect("refactor requires a symbolic skeleton");
         self.factored = false;
-        if self.threads > 1 && sym.block_count() > 1 {
-            self.refactor_parallel(&sym, a)?;
-        } else {
-            Self::refactor_range(
-                &sym,
-                a,
-                0..n,
-                &mut self.lx,
-                &mut self.ux,
-                &mut self.ox,
-                &mut self.udiag,
-                &mut self.work,
-            )?;
-        }
-        self.factored = true;
-        Ok(())
-    }
-
-    /// Refactors the contiguous column range `cols` (which must cover
-    /// whole diagonal blocks) of the skeleton. The value slices are the
-    /// range's segments of `lx`/`ux`/`ox`/`udiag` — indexed relative to
-    /// `cols.start`'s offsets, so disjoint ranges can run on disjoint
-    /// borrows. `work` is a full-dimension accumulator, zeroed on entry
-    /// and on exit (including the error exits).
-    ///
-    /// Because a block's columns read only that block's L/U values and
-    /// scatter/gather through `work`, refactoring block ranges on
-    /// separate workers with separate accumulators produces exactly the
-    /// bits the serial sweep does.
-    #[allow(clippy::too_many_arguments)]
-    fn refactor_range(
-        sym: &SparseSymbolic,
-        a: &SparseMatrix,
-        cols: Range<usize>,
-        lx: &mut [f64],
-        ux: &mut [f64],
-        ox: &mut [f64],
-        udiag: &mut [f64],
-        work: &mut [f64],
-    ) -> Result<(), NumericError> {
-        let pat = a.pattern();
-        let (cbase, lbase, ubase, obase) = (
-            cols.start,
-            sym.lp[cols.start],
-            sym.up[cols.start],
-            sym.op[cols.start],
-        );
+        let work = &mut self.work;
         // `work` is indexed by pivot position here; every position
         // touched is restored to zero before the column ends.
-        for j in cols {
+        for j in 0..sym.dim() {
             // Scatter A(:,colperm[j]) through the row permutation.
             let col = sym.colperm[j];
             for p in pat.col_ptr[col]..pat.col_ptr[col + 1] {
@@ -1311,10 +1061,10 @@ impl SparseLu {
             for p in sym.up[j]..sym.up[j + 1] {
                 let k = sym.ui[p];
                 let ukj = work[k];
-                ux[p - ubase] = ukj;
+                self.ux[p] = ukj;
                 if ukj != 0.0 {
                     for q in sym.lp[k]..sym.lp[k + 1] {
-                        work[sym.li[q]] -= lx[q - lbase] * ukj;
+                        work[sym.li[q]] -= self.lx[q] * ukj;
                     }
                 }
             }
@@ -1326,9 +1076,8 @@ impl SparseLu {
                 colmax = colmax.max(work[sym.li[q]].abs());
             }
             if !colmax.is_finite() || ujj.abs() < PIVOT_EPS || ujj.abs() < REFACTOR_TOL * colmax {
-                // Clear the scattered column (the pattern scatter also
-                // covers the off-diagonal positions) so the fallback
-                // full factorization starts from a clean accumulator.
+                // Clear the scattered column so the fallback full
+                // factorization starts from a clean accumulator.
                 work[j] = 0.0;
                 for p in pat.col_ptr[col]..pat.col_ptr[col + 1] {
                     work[sym.pinv[pat.row_idx[p]]] = 0.0;
@@ -1346,112 +1095,18 @@ impl SparseLu {
                     NumericError::NotFactored
                 });
             }
-            udiag[j - cbase] = ujj;
+            self.udiag[j] = ujj;
             work[j] = 0.0;
             for p in sym.up[j]..sym.up[j + 1] {
                 work[sym.ui[p]] = 0.0;
             }
-            // Gather the raw off-diagonal couplings of this column.
-            for p in sym.op[j]..sym.op[j + 1] {
-                ox[p - obase] = work[sym.oi[p]];
-                work[sym.oi[p]] = 0.0;
-            }
             for q in sym.lp[j]..sym.lp[j + 1] {
                 let r = sym.li[q];
-                lx[q - lbase] = work[r] / ujj;
+                self.lx[q] = work[r] / ujj;
                 work[r] = 0.0;
             }
         }
-        Ok(())
-    }
-
-    /// Fans the numeric refactorization of a multi-block skeleton
-    /// across scoped worker threads: the diagonal blocks are grouped
-    /// into contiguous fill-balanced chunks, the value arrays are
-    /// partitioned at the chunk boundaries, and each worker sweeps its
-    /// chunk with its own cached full-dimension accumulator. The chunk
-    /// partition affects only which thread computes what — every
-    /// column's arithmetic is self-contained within its block, so the
-    /// results are bit-identical to the serial sweep (and to any other
-    /// thread count).
-    fn refactor_parallel(
-        &mut self,
-        sym: &Arc<SparseSymbolic>,
-        a: &SparseMatrix,
-    ) -> Result<(), NumericError> {
-        let n = sym.dim();
-        let nb = sym.block_count();
-        let workers = self.threads.min(nb);
-        let block_cost = |b: usize| {
-            let (s, e) = (sym.block_ptr[b], sym.block_ptr[b + 1]);
-            (sym.lp[e] - sym.lp[s]) + (sym.up[e] - sym.up[s]) + (sym.op[e] - sym.op[s]) + (e - s)
-        };
-        let total: usize = (0..nb).map(block_cost).sum();
-        let target = total.div_ceil(workers);
-        let mut chunks: Vec<Range<usize>> = Vec::new();
-        let mut start_block = 0usize;
-        let mut acc = 0usize;
-        for b in 0..nb {
-            acc += block_cost(b);
-            if acc >= target && chunks.len() + 1 < workers {
-                chunks.push(sym.block_ptr[start_block]..sym.block_ptr[b + 1]);
-                start_block = b + 1;
-                acc = 0;
-            }
-        }
-        if start_block < nb {
-            chunks.push(sym.block_ptr[start_block]..sym.block_ptr[nb]);
-        }
-        while self.thread_work.len() < chunks.len() {
-            self.thread_work.push(Vec::new());
-        }
-        for w in self.thread_work.iter_mut().take(chunks.len()) {
-            if w.len() != n {
-                w.clear();
-                w.resize(n, 0.0);
-            }
-        }
-        // Partition the value arrays at the chunk boundaries: one
-        // column range plus its L/U/off-diagonal/diagonal value slices
-        // per worker.
-        type FactorPart<'a> =
-            (Range<usize>, &'a mut [f64], &'a mut [f64], &'a mut [f64], &'a mut [f64]);
-        let mut parts: Vec<FactorPart<'_>> = Vec::with_capacity(chunks.len());
-        let (mut lx, mut ux, mut ox, mut ud) =
-            (&mut self.lx[..], &mut self.ux[..], &mut self.ox[..], &mut self.udiag[..]);
-        for cols in &chunks {
-            let (l, lr) = lx.split_at_mut(sym.lp[cols.end] - sym.lp[cols.start]);
-            let (u, ur) = ux.split_at_mut(sym.up[cols.end] - sym.up[cols.start]);
-            let (o, or) = ox.split_at_mut(sym.op[cols.end] - sym.op[cols.start]);
-            let (d, dr) = ud.split_at_mut(cols.end - cols.start);
-            parts.push((cols.clone(), l, u, o, d));
-            (lx, ux, ox, ud) = (lr, ur, or, dr);
-        }
-        let results = std::thread::scope(|scope| {
-            let sym: &SparseSymbolic = sym;
-            let mut handles = Vec::with_capacity(parts.len());
-            for ((cols, lx, ux, ox, ud), work) in
-                parts.into_iter().zip(self.thread_work.iter_mut())
-            {
-                handles.push(scope.spawn(move || {
-                    let r = Self::refactor_range(sym, a, cols, lx, ux, ox, ud, work);
-                    if r.is_err() {
-                        // refactor_range clears its own column; a full
-                        // re-zero keeps the cached accumulator safe for
-                        // reuse regardless.
-                        work.fill(0.0);
-                    }
-                    r
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("block refactorization worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for r in results {
-            r?;
-        }
+        self.factored = true;
         Ok(())
     }
 
@@ -1996,201 +1651,4 @@ mod tests {
             r.iter().zip(&b).map(|(ri, bi)| (ri - bi).abs()).fold(0.0_f64, f64::max);
         assert!(resid < 1e-9, "residual {resid}");
     }
-
-    /// A cascade of dense `bs`-sized diagonal blocks where each block
-    /// feeds the previous one through a single coupling entry — the
-    /// sparse analogue of a chain of amplifier stages. Block upper
-    /// triangular in natural order, so BTF must find `count` blocks.
-    fn block_cascade(count: usize, bs: usize, seed: u64) -> SparseMatrix {
-        let n = count * bs;
-        let mut entries = Vec::new();
-        for blk in 0..count {
-            let s = blk * bs;
-            for r in 0..bs {
-                for c in 0..bs {
-                    entries.push((s + r, s + c));
-                }
-            }
-            if blk > 0 {
-                // Coupling from this block's first column up into the
-                // previous block's last row.
-                entries.push((s - 1, s));
-            }
-        }
-        let mut m = SparseMatrix::from_entries(n, &entries);
-        let mut next = rng(seed);
-        for &(r, c) in &entries {
-            m.add(r, c, next());
-        }
-        for i in 0..n {
-            m.add(i, i, 3.0 * bs as f64);
-        }
-        m
-    }
-
-    #[test]
-    fn btf_factor_matches_dense_on_block_cascade() {
-        for (count, bs, seed) in [(6, 4, 3), (12, 7, 91), (30, 3, 55)] {
-            let a = block_cascade(count, bs, seed);
-            let n = a.dim();
-            let order = a.pattern().btf_order().expect("structurally nonsingular");
-            assert_eq!(order.block_count(), count, "cascade should condense per stage");
-            let mut next = rng(seed ^ 0x5eed);
-            let b: Vec<f64> = (0..n).map(|_| next()).collect();
-            let want = dense_solve(&a.to_dense(), &b);
-            let mut lu = SparseLu::new();
-            lu.set_btf_order(Arc::new(order));
-            lu.factor(&a).unwrap();
-            let sym = lu.symbolic().unwrap();
-            assert_eq!(sym.block_count(), count);
-            assert!(sym.off_nnz() > 0, "cascade couplings must be stored off-diagonal");
-            let mut x = vec![0.0; n];
-            lu.solve_into(&b, &mut x).unwrap();
-            for (g, w) in x.iter().zip(&want) {
-                assert!(
-                    (g - w).abs() <= 1e-9 * w.abs().max(1.0),
-                    "count={count} bs={bs}: {g} vs {w}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn btf_refactor_matches_full_factor_and_is_thread_invariant() {
-        let (count, bs) = (10, 5);
-        let mut a = block_cascade(count, bs, 77);
-        let n = a.dim();
-        let order = Arc::new(a.pattern().btf_order().unwrap());
-
-        let mut lu = SparseLu::new();
-        lu.set_btf_order(Arc::clone(&order));
-        lu.factor(&a).unwrap();
-        let sym = lu.symbolic().unwrap();
-
-        // Restamp new values on the same pattern → refactor path.
-        let mut next = rng(0xbeef);
-        StampTarget::clear(&mut a);
-        let pat = Arc::clone(a.pattern());
-        for c in 0..n {
-            for p in pat.col_ptr[c]..pat.col_ptr[c + 1] {
-                let r = pat.row_idx[p];
-                a.add(r, c, next() + if r == c { 20.0 } else { 0.0 });
-            }
-        }
-        let b: Vec<f64> = (0..n).map(|_| next()).collect();
-
-        // Serial refactor in the original workspace.
-        lu.factor(&a).unwrap();
-        assert!(
-            Arc::ptr_eq(&lu.symbolic().unwrap(), &sym),
-            "same pattern must replay the skeleton"
-        );
-        let mut x1 = vec![0.0; n];
-        lu.solve_into(&b, &mut x1).unwrap();
-
-        // From-scratch BTF factorization must agree to the last bit
-        // with the refactor replay of the same values... not required
-        // in general, but threads 1 vs N over the same skeleton is:
-        for threads in [2usize, 4, 16] {
-            let mut lut = SparseLu::new();
-            lut.seed_symbolic(Arc::clone(&sym));
-            lut.set_threads(threads);
-            lut.factor(&a).unwrap();
-            let mut xt = vec![0.0; n];
-            lut.solve_into(&b, &mut xt).unwrap();
-            for (i, (p, q)) in x1.iter().zip(&xt).enumerate() {
-                assert_eq!(
-                    p.to_bits(),
-                    q.to_bits(),
-                    "threads={threads} diverged at component {i}: {p} vs {q}"
-                );
-            }
-        }
-
-        // And the dense reference keeps everyone honest.
-        let want = dense_solve(&a.to_dense(), &b);
-        for (g, w) in x1.iter().zip(&want) {
-            assert!((g - w).abs() <= 1e-9 * w.abs().max(1.0), "{g} vs {w}");
-        }
-    }
-
-    #[test]
-    fn btf_single_block_is_bit_identical_to_plain_ordering() {
-        // A fully coupled (single-SCC) banded matrix: BTF degenerates
-        // to one block whose local AMD is the same permutation the
-        // plain AMD path uses — the factorization and solve must be
-        // bit-for-bit the path that existed before BTF.
-        let n = 80;
-        let a = banded(n, 2, 23);
-        let order = a.pattern().btf_order().unwrap();
-        assert_eq!(order.block_count(), 1);
-        let amd = a.pattern().amd_ordering();
-        assert_eq!(order.colperm(), &amd[..], "single-block local AMD = global AMD");
-
-        let mut next = rng(0x0dd);
-        let b: Vec<f64> = (0..n).map(|_| next()).collect();
-
-        let mut plain = SparseLu::new();
-        plain.set_ordering(amd);
-        plain.factor(&a).unwrap();
-        let mut xp = vec![0.0; n];
-        plain.solve_into(&b, &mut xp).unwrap();
-
-        let mut btf = SparseLu::new();
-        btf.set_btf_order(Arc::new(order));
-        btf.set_threads(8); // single block: must stay on the serial path
-        btf.factor(&a).unwrap();
-        assert_eq!(btf.symbolic().unwrap().fill_nnz(), plain.symbolic().unwrap().fill_nnz());
-        let mut xb = vec![0.0; n];
-        btf.solve_into(&b, &mut xb).unwrap();
-
-        for (p, q) in xp.iter().zip(&xb) {
-            assert_eq!(p.to_bits(), q.to_bits(), "{p} vs {q}");
-        }
-    }
-
-    #[test]
-    fn btf_parallel_refactor_falls_back_on_decayed_pivot() {
-        // Factor a healthy cascade, then restamp values that flip a
-        // block's pivot dominance; the refactor (serial and parallel)
-        // must reject the stale pivot and the fallback full
-        // factorization must still produce a correct solve.
-        let (count, bs) = (4, 3);
-        let mut a = block_cascade(count, bs, 5);
-        let n = a.dim();
-        let order = Arc::new(a.pattern().btf_order().unwrap());
-        let mut lu = SparseLu::new();
-        lu.set_btf_order(Arc::clone(&order));
-        lu.set_threads(4);
-        lu.factor(&a).unwrap();
-
-        let pat = Arc::clone(a.pattern());
-        StampTarget::clear(&mut a);
-        let mut next = rng(0xfade);
-        for c in 0..n {
-            for p in pat.col_ptr[c]..pat.col_ptr[c + 1] {
-                let r = pat.row_idx[p];
-                // Strong *off*-diagonal values, weak diagonal: the
-                // recycled diagonal-preference pivots decay.
-                m_add_scaled(&mut a, r, c, next(), r == c);
-            }
-        }
-        let b: Vec<f64> = (0..n).map(|_| next()).collect();
-        lu.factor(&a).unwrap();
-        let mut x = vec![0.0; n];
-        lu.solve_into(&b, &mut x).unwrap();
-        let want = dense_solve(&a.to_dense(), &b);
-        for (g, w) in x.iter().zip(&want) {
-            assert!((g - w).abs() <= 1e-8 * w.abs().max(1.0), "{g} vs {w}");
-        }
-    }
-
-    fn m_add_scaled(m: &mut SparseMatrix, r: usize, c: usize, v: f64, diag: bool) {
-        if diag {
-            m.add(r, c, v * 1e-10);
-        } else {
-            m.add(r, c, 10.0 + v);
-        }
-    }
 }
-

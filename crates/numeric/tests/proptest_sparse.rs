@@ -182,147 +182,6 @@ proptest! {
         }
     }
 
-    /// The maximum transversal on a *structurally nonsingular* random
-    /// pattern (random extras over a hidden permutation diagonal) must
-    /// find a complete matching: a bijection `colmatch` with
-    /// `(colmatch[c], c)` a structural entry for every column — a
-    /// zero-free diagonal under the implied row permutation. Emptying
-    /// any one column makes the pattern structurally singular, and the
-    /// transversal must report that cleanly as `None`.
-    #[test]
-    fn max_transversal_finds_zero_free_diagonal_or_rejects(
-        n in 2usize..40,
-        perm_seed in prop::collection::vec(0usize..1_000_000, 40),
-        slot_rows in prop::collection::vec(0usize..40, 120),
-        slot_cols in prop::collection::vec(0usize..40, 120),
-        slot_count in 0usize..120,
-        emptied in 0usize..40,
-    ) {
-        // Hidden transversal: a random permutation's entries guarantee
-        // structural nonsingularity without forcing the main diagonal.
-        let mut hidden: Vec<usize> = (0..n).collect();
-        for i in (1..n).rev() {
-            hidden.swap(i, perm_seed[i] % (i + 1));
-        }
-        let mut entries: Vec<(usize, usize)> =
-            hidden.iter().enumerate().map(|(c, &r)| (r, c)).collect();
-        entries.extend(
-            slot_rows
-                .iter()
-                .zip(&slot_cols)
-                .take(slot_count)
-                .map(|(&r, &c)| (r % n, c % n)),
-        );
-        let m = SparseMatrix::from_entries(n, &entries);
-        let colmatch = m.pattern().max_transversal();
-        prop_assert!(colmatch.is_some(), "nonsingular pattern rejected");
-        let colmatch = colmatch.unwrap();
-        prop_assert_eq!(colmatch.len(), n);
-        let mut seen = vec![false; n];
-        for (c, &r) in colmatch.iter().enumerate() {
-            prop_assert!(r < n && !seen[r], "not a bijection: {:?}", colmatch);
-            seen[r] = true;
-            prop_assert!(
-                m.pattern().slot(r, c).is_some(),
-                "matched ({}, {}) is not a structural entry",
-                r,
-                c
-            );
-        }
-
-        // Structural singularity: an empty column can match no row.
-        let emptied = emptied % n;
-        let gutted: Vec<(usize, usize)> =
-            entries.iter().copied().filter(|&(_, c)| c != emptied).collect();
-        let singular = SparseMatrix::from_entries(n, &gutted);
-        prop_assert!(
-            singular.pattern().max_transversal().is_none(),
-            "pattern with empty column {} accepted",
-            emptied
-        );
-        prop_assert!(singular.pattern().btf_order().is_none());
-    }
-
-    /// The full BTF preordering on random structurally nonsingular
-    /// patterns: composed row and column permutations are bijections,
-    /// the block boundaries are strictly increasing from 0 to n, the
-    /// permuted diagonal is zero-free, and — the condensation contract —
-    /// every structural entry lands on or *above* the block diagonal
-    /// (Tarjan's emission order is a valid topological order of the
-    /// SCC condensation, so `P·A·Q` is block upper triangular).
-    #[test]
-    fn btf_order_is_topological_block_upper_triangular(
-        n in 1usize..40,
-        perm_seed in prop::collection::vec(0usize..1_000_000, 40),
-        slot_rows in prop::collection::vec(0usize..40, 160),
-        slot_cols in prop::collection::vec(0usize..40, 160),
-        slot_count in 0usize..160,
-    ) {
-        let mut hidden: Vec<usize> = (0..n).collect();
-        for i in (1..n).rev() {
-            hidden.swap(i, perm_seed[i] % (i + 1));
-        }
-        let mut entries: Vec<(usize, usize)> =
-            hidden.iter().enumerate().map(|(c, &r)| (r, c)).collect();
-        entries.extend(
-            slot_rows
-                .iter()
-                .zip(&slot_cols)
-                .take(slot_count)
-                .map(|(&r, &c)| (r % n, c % n)),
-        );
-        let m = SparseMatrix::from_entries(n, &entries);
-        let btf = m.pattern().btf_order();
-        prop_assert!(btf.is_some(), "nonsingular pattern rejected");
-        let btf = btf.unwrap();
-        prop_assert_eq!(btf.dim(), n);
-
-        // Composed permutations are bijections.
-        for perm in [btf.rowperm(), btf.colperm()] {
-            prop_assert_eq!(perm.len(), n);
-            let mut seen = vec![false; n];
-            for &p in perm {
-                prop_assert!(p < n && !seen[p], "not a bijection: {:?}", perm);
-                seen[p] = true;
-            }
-        }
-
-        // Block boundaries partition 0..n.
-        let bp = btf.block_ptr();
-        prop_assert_eq!(bp[0], 0);
-        prop_assert_eq!(*bp.last().unwrap(), n);
-        prop_assert!(bp.windows(2).all(|w| w[0] < w[1]), "{:?}", bp);
-        prop_assert_eq!(btf.block_count(), bp.len() - 1);
-
-        // Zero-free permuted diagonal.
-        for k in 0..n {
-            prop_assert!(
-                m.pattern().slot(btf.rowperm()[k], btf.colperm()[k]).is_some(),
-                "permuted diagonal position {} is a structural zero",
-                k
-            );
-        }
-
-        // Block upper triangularity: map every original entry to its
-        // permuted position; its row block must not exceed its column
-        // block.
-        let mut rpos = vec![0usize; n];
-        let mut cpos = vec![0usize; n];
-        for k in 0..n {
-            rpos[btf.rowperm()[k]] = k;
-            cpos[btf.colperm()[k]] = k;
-        }
-        let block_of = |k: usize| bp.partition_point(|&b| b <= k) - 1;
-        for (r, c, _) in m.entries() {
-            prop_assert!(
-                block_of(rpos[r]) <= block_of(cpos[c]),
-                "entry ({}, {}) lands below the block diagonal",
-                r,
-                c
-            );
-        }
-    }
-
     /// The residual of the sparse solve is tiny in its own right (not
     /// just relative to the dense solution).
     #[test]
@@ -343,43 +202,4 @@ proptest! {
             prop_assert!((ri - bi).abs() < 1e-9, "residual {}", (ri - bi).abs());
         }
     }
-}
-
-/// Degenerate BTF shapes where the answer is exactly known: `n <= 1`,
-/// the fully dense pattern (one strongly connected component — a single
-/// block), and the diagonal pattern (n independent scalar equations —
-/// n blocks of size 1).
-#[test]
-fn btf_degenerate_cases() {
-    // n = 1: one 1×1 block.
-    let one = SparseMatrix::from_entries(1, &[(0, 0)]);
-    let btf = one.pattern().btf_order().expect("1×1 with diagonal entry");
-    assert_eq!(btf.block_ptr(), &[0, 1]);
-    assert_eq!(btf.block_count(), 1);
-    assert_eq!(btf.nontrivial_blocks(), 0);
-    assert_eq!(btf.largest_block(), 1);
-
-    // n = 1 without its entry: structurally singular.
-    let empty = SparseMatrix::from_entries(1, &[]);
-    assert!(empty.pattern().max_transversal().is_none());
-    assert!(empty.pattern().btf_order().is_none());
-
-    // Fully dense: everything reaches everything — one block of size n.
-    let n = 9;
-    let all: Vec<(usize, usize)> =
-        (0..n).flat_map(|r| (0..n).map(move |c| (r, c))).collect();
-    let dense = SparseMatrix::from_entries(n, &all);
-    let btf = dense.pattern().btf_order().expect("dense is nonsingular");
-    assert_eq!(btf.block_count(), 1);
-    assert_eq!(btf.largest_block(), n);
-    assert_eq!(btf.nontrivial_blocks(), 1);
-
-    // Diagonal: n decoupled scalars — n blocks of size 1.
-    let diag: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
-    let diag = SparseMatrix::from_entries(n, &diag);
-    let btf = diag.pattern().btf_order().expect("diagonal is nonsingular");
-    assert_eq!(btf.block_count(), n);
-    assert_eq!(btf.largest_block(), 1);
-    assert_eq!(btf.nontrivial_blocks(), 0);
-    assert_eq!(btf.block_ptr(), &(0..=n).collect::<Vec<_>>()[..]);
 }

@@ -27,7 +27,9 @@ use crate::json::Json;
 /// ```
 ///
 /// `deck` and `configs` are required; everything else defaults exactly
-/// like the `castg generate` CLI flags of the same names. Unknown
+/// like the `castg generate` CLI flags of the same names. `ordering` is
+/// one of `auto`, `natural` or `amd` (the latter two force the sparse
+/// path under that column ordering). Unknown
 /// top-level fields are rejected (a typo must not silently change the
 /// cache key semantics).
 #[derive(Debug, Clone, PartialEq)]
@@ -225,11 +227,8 @@ impl CampaignRequest {
                 Some("auto") => None,
                 Some("natural") => Some((SolverKind::Sparse, OrderingKind::Natural)),
                 Some("amd") => Some((SolverKind::Sparse, OrderingKind::Amd)),
-                Some("btf") => Some((SolverKind::Sparse, OrderingKind::Btf)),
                 Some(other) => {
-                    return err(format!(
-                        "`ordering` must be auto, natural, amd or btf, got `{other}`"
-                    ))
+                    return err(format!("`ordering` must be auto, natural or amd, got `{other}`"))
                 }
                 None => return err(format!("`ordering` must be a string, got {}", o.type_name())),
             },
@@ -302,7 +301,7 @@ mod tests {
     fn full_request_round_trips() {
         let r = decode(
             r#"{"name":"ota","deck":"d","configs":["b","a"],
-                "params":{"w":2.0},"faults":"adjacent","ordering":"btf",
+                "params":{"w":2.0},"faults":"adjacent","ordering":"amd",
                 "bridge_ohms":5e3,"pinhole_ohms":1e3,"skip_faults":2,
                 "max_faults":10,"max_newton_iters":500,"budget_ms":100}"#,
         )
@@ -310,7 +309,7 @@ mod tests {
         assert_eq!(r.name, "ota");
         assert_eq!(r.configs, vec!["b".to_string(), "a".to_string()]);
         assert_eq!(r.derivation, BridgeDerivation::Adjacent);
-        assert_eq!(r.dispatch, Some((SolverKind::Sparse, OrderingKind::Btf)));
+        assert_eq!(r.dispatch, Some((SolverKind::Sparse, OrderingKind::Amd)));
         assert_eq!(r.params, vec![("w".to_string(), 2.0)]);
         assert_eq!(r.skip_faults, 2);
         assert_eq!(r.max_faults, Some(10));
@@ -333,6 +332,7 @@ mod tests {
             (r#"{"deck":"d","configs":[1]}"#, "`configs[0]` must be a string"),
             (r#"{"deck":"d","configs":["c"],"faults":"all"}"#, "`faults` must be"),
             (r#"{"deck":"d","configs":["c"],"ordering":"rcm"}"#, "`ordering` must be"),
+            (r#"{"deck":"d","configs":["c"],"ordering":"btf"}"#, "`ordering` must be"),
             (r#"{"deck":"d","configs":["c"],"max_faults":-1}"#, "non-negative integer"),
             (r#"{"deck":"d","configs":["c"],"bridge_ohms":0}"#, "must be positive"),
             (r#"[1]"#, "must be an object"),

@@ -397,26 +397,16 @@ impl<'c> AcAnalysis<'c> {
 
         // Prologue: the first point computes the shared symbolic
         // skeleton (and its own solution) serially. When the circuit's
-        // ordering resolves to AMD (or BTF), the embedding gets its own
-        // AMD/BTF run — its pattern couples the G and ωC blocks, so
-        // neither the G permutation nor the G block partition transfers
-        // — computed once here per sweep and carried to every other
-        // frequency point inside the shared skeleton. A BTF resolution
-        // whose embedding fails to condense (one block, or structurally
-        // singular) falls back to the embedding's AMD ordering.
+        // ordering resolves to AMD, the embedding gets its own AMD run —
+        // its pattern couples the G and ωC blocks, so the G permutation
+        // does not transfer — computed once here per sweep and carried
+        // to every other frequency point inside the shared skeleton.
         let mut big = template.clone();
         let mut lu = SparseLu::new();
-        match plan.resolve_ordering(self.options.ordering, crate::stamp::PatternScope::Full) {
-            crate::solver::OrderingKind::Amd => {
-                lu.set_ordering(big.pattern().amd_ordering());
-            }
-            crate::solver::OrderingKind::Btf => {
-                match big.pattern().btf_order().filter(|b| b.block_count() > 1) {
-                    Some(order) => lu.set_btf_order(std::sync::Arc::new(order)),
-                    None => lu.set_ordering(big.pattern().amd_ordering()),
-                }
-            }
-            _ => {}
+        if plan.resolve_ordering(self.options.ordering, crate::stamp::PatternScope::Full)
+            == crate::solver::OrderingKind::Amd
+        {
+            lu.set_ordering(big.pattern().amd_ordering());
         }
         let mut xy = vec![0.0; 2 * n];
         stamp_point(&mut big, freqs[0]);

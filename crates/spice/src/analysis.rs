@@ -28,16 +28,11 @@ pub struct AnalysisOptions {
     pub solver: SolverKind,
     /// Column ordering for the sparse LU's elimination. `Auto` (the
     /// default) keeps natural MNA order unless a fill comparison on the
-    /// circuit's canonical matrix shows AMD (or, past a second margin,
-    /// BTF) reducing the stored `nnz(L+U)` past the margin;
-    /// `Natural`/`Amd`/`Btf` force an ordering (the four-way
-    /// differential tests cross-check them). Ignored on the dense path.
+    /// circuit's canonical matrix shows AMD reducing the stored
+    /// `nnz(L+U)` past the margin; `Natural`/`Amd` force an ordering
+    /// (the three-way differential tests cross-check them against the
+    /// dense path). Ignored on the dense path.
     pub ordering: OrderingKind,
-    /// Worker threads for block-parallel sparse refactorization (BTF
-    /// orderings with more than one diagonal block; everything else is
-    /// unaffected). Results are bit-identical at every thread count —
-    /// same discipline as `AcAnalysis::threads`. Default 1 (serial).
-    pub block_threads: usize,
     /// Cap on the **total** Newton iterations one analysis run may
     /// spend — summed across every rung of the DC strategy ladder, or
     /// across every timestep (ladder stages and sub-step retries
@@ -68,7 +63,6 @@ impl Default for AnalysisOptions {
             max_step_v: 0.5,
             solver: SolverKind::Auto,
             ordering: OrderingKind::Auto,
-            block_threads: 1,
             max_total_iter: None,
             budget_ms: None,
         }

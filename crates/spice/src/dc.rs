@@ -115,12 +115,11 @@ impl NewtonScratch {
         circuit: &Circuit,
         kind: SolverKind,
         ordering: OrderingKind,
-        block_threads: usize,
         scope: crate::stamp::PatternScope,
     ) -> Self {
         let plan = circuit.plan();
         let n = plan.dim();
-        let solver = MnaSolver::for_plan(&plan, kind, ordering, block_threads, scope);
+        let solver = MnaSolver::for_plan(&plan, kind, ordering, scope);
         NewtonScratch {
             plan,
             solver,
@@ -414,13 +413,11 @@ impl<'c> DcAnalysis<'c> {
         // solve, shared across all ladder rungs; one state vector
         // mutated in place by the Newton iterations.
         // DC factors the static pattern: capacitors are open, and
-        // carrying their slots would cost fill and block the BTF
-        // condensation (see `PatternScope`).
+        // carrying their slots would cost fill (see `PatternScope`).
         let mut scratch = NewtonScratch::new(
             self.circuit,
             self.options.solver,
             self.options.ordering,
-            self.options.block_threads,
             crate::stamp::PatternScope::Static,
         );
         scratch.overrides = overrides;

@@ -156,7 +156,7 @@
 //! through both must agree to 1e-9 relative, nominal and after fault
 //! injection.
 //!
-//! # Ordering selection: natural, AMD, BTF — and symbolic sharing
+//! # Ordering selection: natural or AMD — and symbolic sharing
 //!
 //! The sparse path has a second dispatch axis,
 //! [`AnalysisOptions::ordering`] ([`OrderingKind`]): which column
@@ -175,30 +175,10 @@
 //! [`sparse_fill_stats`] exposes the comparison (benches and the CI
 //! fill gate are built on it).
 //!
-//! The third ordering is **BTF** (`OrderingKind::Btf`): the KLU-style
-//! block-triangular decomposition (`castg_numeric::btf`) — maximum
-//! transversal, Tarjan SCC condensation, per-block AMD — which factors
-//! only the diagonal blocks and retires off-diagonal coupling during
-//! back-substitution. It pays off on *one-directional* topologies:
-//! cascaded macro chains whose DC pattern has no feedback (a MOS gate
-//! draws no DC current, so each stage only drives the next). The
-//! **static/dynamic pattern split** is what exposes that structure: DC
-//! solves factor the static (resistive + Jacobian) pattern only, where
-//! capacitor slots — structural zeros in DC that would symmetrically
-//! glue every cascade stage into one giant SCC — are absent; transient
-//! and AC stamp companions into the full union pattern (and the AC
-//! `2n×2n` embedding runs its own BTF condensation per sweep). Measured
-//! crossovers on the synthetic families (committed
-//! `BENCH_campaign.json`, `btf_stats`): a 512-unknown OTA chain
-//! condenses to ~260 blocks (largest 2), block fill ≤ global-AMD fill,
-//! DC solve ~1.1× faster; ladders (banded, AMD already fill-free) and
-//! meshes (one irreducible SCC) see no benefit, so `Auto`'s third gate
-//! picks Btf only when the condensation finds >1 nontrivial block *and*
-//! summed block fill beats the AMD fill by the existing
-//! [`AMD_AUTO_MARGIN`]; a forced `Btf` on an irreducible pattern falls
-//! back to the AMD path (bit-identical to forced `Amd`). Independent
-//! diagonal blocks refactor in parallel under
-//! `AnalysisOptions::block_threads`, thread-count-invariant to the bit.
+//! DC solves factor the **static** (resistive + Jacobian) pattern
+//! only: capacitor slots are structural zeros in DC that would still
+//! cost fill. Transient and AC stamp companions into the full union
+//! pattern.
 //!
 //! Ordering composes with every structure-sharing mechanism above
 //! because the permutation lives *inside* the shared symbolic analysis
@@ -210,8 +190,8 @@
 //! variant and a from-scratch rebuild always agree bit for bit), and
 //! the AC sweep's `2n×2n` real embedding computes its own AMD
 //! permutation once per sweep and shares it across every frequency
-//! point. The four-way differential harness (Dense / Sparse-Natural /
-//! Sparse-AMD / Sparse-BTF, `tests/sparse_differential.rs` +
+//! point. The three-way differential harness (Dense / Sparse-Natural /
+//! Sparse-AMD, `tests/sparse_differential.rs` +
 //! `tests/campaign_differential.rs`) pins all of this, nominal and
 //! after fault injection, at worker counts 1 and 4.
 //!

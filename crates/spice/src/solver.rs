@@ -73,15 +73,6 @@ pub enum OrderingKind {
     /// ([`castg_numeric::SparsePattern::amd_ordering`]), the
     /// fill-reducing choice for mesh/crossbar structure.
     Amd,
-    /// Block-triangular form
-    /// ([`castg_numeric::SparsePattern::btf_order`], KLU-style):
-    /// maximum transversal + SCC condensation + per-block AMD. Only the
-    /// diagonal blocks are factored; the choice for cascaded/one-way
-    /// structure (OTA chains, flattened `.subckt` stages). Falls back
-    /// to `Amd` when the condensation is trivial (a single diagonal
-    /// block) or the pattern is structurally singular, so forcing `Btf`
-    /// on an irreducible circuit is bit-identical to forcing `Amd`.
-    Btf,
 }
 
 /// Structural fill statistics of a circuit's sparse factorization under
@@ -93,19 +84,11 @@ pub struct FillStats {
     /// Structural nonzeros of the assembled MNA pattern.
     pub pattern_nnz: usize,
     /// Structural nonzeros the factorization stores: `L + U` with the
-    /// diagonal counted once, plus (under BTF) the raw off-diagonal
-    /// coupling entries.
+    /// diagonal counted once.
     pub lu_nnz: usize,
     /// The ordering the factorization actually used (`Auto` resolved to
-    /// `Natural`, `Amd` or `Btf`; `Btf` resolved to `Amd` when the
-    /// condensation is trivial).
+    /// `Natural` or `Amd`).
     pub resolved: OrderingKind,
-    /// Diagonal-block count of the factorization (1 for every non-BTF
-    /// ordering).
-    pub blocks: usize,
-    /// Size of the largest diagonal block (`unknowns` for every non-BTF
-    /// ordering).
-    pub largest_block: usize,
 }
 
 /// Factors the circuit's canonical MNA matrix under `ordering` and
@@ -124,13 +107,6 @@ pub fn sparse_fill_stats(circuit: &crate::Circuit, ordering: OrderingKind) -> Op
         pattern_nnz: plan.sparse_template(scope).pattern().nnz(),
         lu_nnz: symbolic.fill_nnz(),
         resolved: plan.resolve_ordering(ordering, scope),
-        blocks: symbolic.block_count(),
-        largest_block: symbolic
-            .blocks()
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .max()
-            .unwrap_or(0),
     })
 }
 
@@ -205,7 +181,6 @@ impl MnaSolver {
         plan: &StampPlan,
         kind: SolverKind,
         ordering: OrderingKind,
-        block_threads: usize,
         scope: crate::stamp::PatternScope,
     ) -> Self {
         let n = plan.dim();
@@ -213,20 +188,12 @@ impl MnaSolver {
             let mut lu = SparseLu::new();
             match plan.canonical_symbolic(ordering, scope) {
                 Some(symbolic) => lu.seed_symbolic(symbolic),
-                None => match plan.resolve_ordering(ordering, scope) {
-                    OrderingKind::Amd => lu.set_ordering(plan.amd_permutation(scope).clone()),
-                    OrderingKind::Btf => {
-                        // Resolving to Btf guarantees a usable order.
-                        let order = plan
-                            .btf_ordering(scope)
-                            .cloned()
-                            .expect("Btf resolution implies a usable BTF order");
-                        lu.set_btf_order(order);
+                None => {
+                    if plan.resolve_ordering(ordering, scope) == OrderingKind::Amd {
+                        lu.set_ordering(plan.amd_permutation(scope).clone());
                     }
-                    _ => {}
-                },
+                }
             }
-            lu.set_threads(block_threads);
             MnaSolver::Sparse { mat: plan.sparse_template(scope).clone(), lu }
         } else {
             MnaSolver::Dense { mat: Matrix::zeros(n, n), lu: LuWorkspace::new(n) }
@@ -333,7 +300,6 @@ mod tests {
                 &plan,
                 kind,
                 OrderingKind::Auto,
-                1,
                 crate::stamp::PatternScope::Full,
             );
             assert_eq!(solver.is_sparse(), kind == SolverKind::Sparse);

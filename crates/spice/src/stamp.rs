@@ -495,13 +495,17 @@ pub(crate) struct StampPlan {
 ///
 /// DC solves factor the **static** (resistive/Jacobian) pattern only:
 /// capacitors are open in DC, so their slots would be structural zeros
-/// that cost fill *and* glue otherwise independent diagonal blocks
-/// together — a MOS cascade condenses into per-stage BTF blocks under
-/// the static pattern but is one giant strongly connected component
-/// under the full one (the gate-drain capacitance couples every stage
-/// symmetrically). Transient solves stamp companion conductances into
-/// the dynamic slots and need the **full** union; the AC engine stamps
-/// `G` and `C` over the full template too.
+/// that still cost fill. Measured on canonical symbolic analyses, a
+/// 512-unknown OTA chain's natural-order `L+U` is 1,276 nonzeros on the
+/// static pattern against 2,037 on the full one (the gate capacitances
+/// couple every stage back to its driver), and a seeded 580-unknown
+/// resistive mesh with MOS loads factors to 12,107 (static) against
+/// 12,222 (full) under AMD. The RC ladder of
+/// `tests/fixtures/ladder_param.sp` shunts its capacitors to ground, so
+/// they touch only diagonal slots and its two patterns coincide.
+/// Transient solves stamp companion conductances into the dynamic slots
+/// and need the **full** union; the AC engine stamps `G` and `C` over
+/// the full template too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PatternScope {
     /// Static (DC/Jacobian) slots only.
@@ -529,25 +533,15 @@ struct ScopeCaches {
     /// per circuit variant and scope.
     canonical_natural: OnceLock<Option<Arc<SparseSymbolic>>>,
     canonical_amd: OnceLock<Option<Arc<SparseSymbolic>>>,
-    canonical_btf: OnceLock<Option<Arc<SparseSymbolic>>>,
-    /// Lazily computed BTF preordering of this scope's pattern (`None`
-    /// inside when the pattern is structurally singular): one
-    /// transversal + condensation + per-block AMD per plan and scope,
-    /// shared by the Btf/Auto resolution, the canonical BTF
-    /// factorization, and solver instances that must order their own
-    /// analysis. Like `amd_perm`, a pure function of the pattern —
-    /// delta-patched and rebuilt variants of one faulted circuit
-    /// compute identical orders.
-    btf_order: OnceLock<Option<Arc<castg_numeric::BtfOrder>>>,
     /// Lazily computed AMD permutation of this scope's pattern: one
     /// ordering construction per plan and scope, shared by the Auto
     /// comparison, the canonical AMD factorization, and solver
     /// instances that must order their own analysis (singular
     /// canonical).
     amd_perm: OnceLock<Vec<usize>>,
-    /// Lazily resolved `OrderingKind::Auto` verdict (`Natural`, `Amd`
-    /// or `Btf`); see [`resolve_ordering`](StampPlan::resolve_ordering)
-    /// for the three-gate rule. Every input is reproduced
+    /// Lazily resolved `OrderingKind::Auto` verdict (`Natural` or
+    /// `Amd`); see [`resolve_ordering`](StampPlan::resolve_ordering)
+    /// for the two-gate rule. Every input is reproduced
     /// bit-identically by a delta-patched plan — and the verdict is
     /// never inherited across device patches — so delta-patched and
     /// rebuilt variants of one faulted circuit always resolve
@@ -808,7 +802,6 @@ impl StampPlan {
     ) -> Option<Arc<SparseSymbolic>> {
         match self.resolve_ordering(ordering, scope) {
             OrderingKind::Amd => self.amd_symbolic(scope),
-            OrderingKind::Btf => self.btf_symbolic(scope),
             _ => self.natural_symbolic(scope),
         }
     }
@@ -820,27 +813,6 @@ impl StampPlan {
         self.scope_caches(scope)
             .amd_perm
             .get_or_init(|| self.sparse_template(scope).pattern().amd_ordering())
-    }
-
-    /// The BTF preordering of `scope`'s sparse pattern (`None` when
-    /// structurally singular), constructed once and shared by every
-    /// consumer — the Btf/Auto resolution, the canonical BTF
-    /// factorization, and instances analyzing on their own.
-    pub(crate) fn btf_ordering(&self, scope: PatternScope) -> Option<&Arc<castg_numeric::BtfOrder>> {
-        self.scope_caches(scope)
-            .btf_order
-            .get_or_init(|| self.sparse_template(scope).pattern().btf_order().map(Arc::new))
-            .as_ref()
-    }
-
-    /// Whether the plan's BTF preordering is worth dispatching to: the
-    /// pattern has a zero-free diagonal *and* the condensation found
-    /// more than one diagonal block. A single-block (irreducible)
-    /// circuit gains nothing from the block machinery, so `Btf`
-    /// resolves to `Amd` there — keeping the forced-Btf path
-    /// bit-identical to forced-Amd where blocks don't exist.
-    fn btf_usable(&self, scope: PatternScope) -> bool {
-        self.btf_ordering(scope).is_some_and(|b| b.block_count() > 1)
     }
 
     /// Resolves an [`OrderingKind`] against this plan: `Natural` and
@@ -882,33 +854,16 @@ impl StampPlan {
                 if (natural_fill as f64) < crate::solver::AMD_AUTO_MIN_BLOWUP * nnz as f64 {
                     return OrderingKind::Natural;
                 }
-                let amd_fill = match self.amd_symbolic(scope).map(|s| s.fill_nnz()) {
+                match self.amd_symbolic(scope) {
                     Some(a)
-                        if (a as f64)
+                        if (a.fill_nnz() as f64)
                             <= crate::solver::AMD_AUTO_MARGIN * natural_fill as f64 =>
                     {
-                        a
+                        OrderingKind::Amd
                     }
-                    _ => return OrderingKind::Natural,
-                };
-                // Third gate: BTF supersedes AMD only when the
-                // condensation found real block structure (>1
-                // nontrivial block) *and* the total BTF storage beats
-                // global AMD by the same margin AMD had to clear.
-                if self.btf_usable(scope)
-                    && self.btf_ordering(scope).is_some_and(|b| b.nontrivial_blocks() > 1)
-                {
-                    if let Some(b) = self.btf_symbolic(scope) {
-                        if (b.fill_nnz() as f64)
-                            <= crate::solver::AMD_AUTO_MARGIN * amd_fill as f64
-                        {
-                            return OrderingKind::Btf;
-                        }
-                    }
+                    _ => OrderingKind::Natural,
                 }
-                OrderingKind::Amd
             }),
-            OrderingKind::Btf if !self.btf_usable(scope) => OrderingKind::Amd,
             other => other,
         }
     }
@@ -932,26 +887,9 @@ impl StampPlan {
             .clone()
     }
 
-    /// The BTF-ordered canonical symbolic analysis (cached). Falls back
-    /// to the AMD canonical when no usable BTF order exists, mirroring
-    /// [`resolve_ordering`](StampPlan::resolve_ordering).
-    fn btf_symbolic(&self, scope: PatternScope) -> Option<Arc<SparseSymbolic>> {
-        if !self.btf_usable(scope) {
-            return self.amd_symbolic(scope);
-        }
-        self.scope_caches(scope)
-            .canonical_btf
-            .get_or_init(|| {
-                let order =
-                    Arc::clone(self.btf_ordering(scope).expect("btf_usable implies order"));
-                self.factor_canonical(scope, |lu| lu.set_btf_order(order))
-            })
-            .clone()
-    }
-
     /// Assembles the canonical matrix and factors it with a workspace
-    /// prepared by `setup` (ordering / BTF-order installation; the
-    /// empty closure = natural order), returning the symbolic skeleton
+    /// prepared by `setup` (ordering installation; the empty closure =
+    /// natural order), returning the symbolic skeleton
     /// or `None` on singularity.
     fn factor_canonical(
         &self,
@@ -1489,6 +1427,49 @@ mod tests {
     use super::*;
     use crate::mos::{MosParams, MosPolarity};
     use crate::Circuit;
+
+    /// DC factors the static pattern because capacitor slots are
+    /// structural zeros that still cost fill: on a common-source MOS
+    /// cascade the gate capacitances add a `(gate, drain)` slot per
+    /// stage, which the natural-order canonical factorization of the
+    /// full pattern has to carry.
+    #[test]
+    fn static_pattern_fills_less_than_full_on_a_mos_cascade() {
+        let mut c = Circuit::new();
+        let vin = c.node("vin");
+        c.add_vsource("VIN", vin, Circuit::GROUND, Waveform::dc(2.0)).unwrap();
+        let mut prev = vin;
+        for i in 0..8 {
+            let g = c.node(&format!("g{i}"));
+            let d = c.node(&format!("d{i}"));
+            c.add_resistor(&format!("RC{i}"), prev, g, 100e3).unwrap();
+            c.add_resistor(&format!("RB{i}"), g, Circuit::GROUND, 500e3).unwrap();
+            c.add_isource(&format!("ID{i}"), Circuit::GROUND, d, Waveform::dc(100e-6)).unwrap();
+            c.add_resistor(&format!("RD{i}"), d, Circuit::GROUND, 50e3).unwrap();
+            c.add_mosfet(
+                &format!("M{i}"),
+                d,
+                g,
+                Circuit::GROUND,
+                Circuit::GROUND,
+                MosPolarity::Nmos,
+                MosParams::nmos_default(10e-6, 1e-6),
+            )
+            .unwrap();
+            prev = d;
+        }
+        let plan = c.plan();
+        let fill = |scope| {
+            plan.canonical_symbolic(OrderingKind::Natural, scope)
+                .expect("canonical matrix is nonsingular")
+                .fill_nnz()
+        };
+        let (static_fill, full_fill) = (fill(PatternScope::Static), fill(PatternScope::Full));
+        assert!(
+            static_fill < full_fill,
+            "static fill {static_fill} should be below full fill {full_fill}"
+        );
+    }
 
     #[test]
     fn idx_maps_ground_to_none() {

@@ -98,17 +98,11 @@ impl TranScratch {
         n_dyns: usize,
         solver: crate::solver::SolverKind,
         ordering: crate::solver::OrderingKind,
-        block_threads: usize,
     ) -> Self {
         // Transient stamps companion conductances into the dynamic
         // slots, so its Newton systems live on the full pattern.
-        let newton = NewtonScratch::new(
-            circuit,
-            solver,
-            ordering,
-            block_threads,
-            crate::stamp::PatternScope::Full,
-        );
+        let newton =
+            NewtonScratch::new(circuit, solver, ordering, crate::stamp::PatternScope::Full);
         let n = newton.plan.dim();
         TranScratch {
             newton,
@@ -214,7 +208,6 @@ impl<'c> TranAnalysis<'c> {
             dyns.len(),
             self.options.solver,
             self.options.ordering,
-            self.options.block_threads,
         );
         scratch.newton.overrides = resolve_overrides(self.circuit, &self.overrides)?;
 

@@ -5,7 +5,7 @@
 //! castg generate <deck.sp> --configs <dir> [options]
 //!     --configs DIR        configuration description files (*.cfg/*.txt)
 //!     --faults MODE        bridge derivation: exhaustive (default) | adjacent
-//!     --ordering KIND      solver dispatch: auto (default) | natural | amd | btf
+//!     --ordering KIND      solver dispatch: auto (default) | natural | amd
 //!                          (a forced ordering also forces the sparse solver)
 //!     --bridge-ohms R      dictionary bridge resistance   [10e3]
 //!     --pinhole-ohms R     dictionary pinhole resistance  [2e3]
@@ -28,9 +28,8 @@
 //!     canonical request digest (the `castg serve` cache key for the
 //!     default campaign options), solve its DC operating point, print
 //!     node voltages and source currents, and report the sparse-factor
-//!     fill and block structure under each ordering — so users can see
-//!     which solver path their macro will take before running a
-//!     campaign.
+//!     fill under each ordering — so users can see which solver path
+//!     their macro will take before running a campaign.
 //!
 //! castg serve [--addr HOST:PORT] [--workers N] [--threads N]
 //!     [--result-cache N] [--plan-cache N] [--ceiling-faults N]
@@ -74,11 +73,11 @@ castg — compact structural test generation for analog macros
 
 USAGE:
     castg generate <deck.sp> --configs <dir> [--faults exhaustive|adjacent]
-          [--ordering auto|natural|amd|btf] [--bridge-ohms R] [--pinhole-ohms R]
+          [--ordering auto|natural|amd] [--bridge-ohms R] [--pinhole-ohms R]
           [--skip-faults N] [--max-faults N] [--param NAME=VALUE]...
           [--threads N] [--max-newton-iters N] [--budget-ms MS] [--strict]
           [--out PATH] [--json PATH]
-    castg check <deck.sp> [--ordering auto|natural|amd|btf] [--param NAME=VALUE]...
+    castg check <deck.sp> [--ordering auto|natural|amd] [--param NAME=VALUE]...
     castg serve [--addr HOST:PORT] [--workers N] [--threads N]
           [--result-cache N] [--plan-cache N] [--ceiling-faults N]
           [--ceiling-newton-iters N] [--ceiling-budget-ms MS]
@@ -234,8 +233,7 @@ fn parse_ordering(s: &str) -> Result<(SolverKind, OrderingKind), String> {
         "auto" => Ok((SolverKind::Auto, OrderingKind::Auto)),
         "natural" => Ok((SolverKind::Sparse, OrderingKind::Natural)),
         "amd" => Ok((SolverKind::Sparse, OrderingKind::Amd)),
-        "btf" => Ok((SolverKind::Sparse, OrderingKind::Btf)),
-        other => Err(format!("--ordering must be auto, natural, amd or btf, got `{other}`")),
+        other => Err(format!("--ordering must be auto, natural or amd, got `{other}`")),
     }
 }
 
@@ -436,31 +434,18 @@ fn check(args: &[String]) -> Result<(), String> {
         }
     }
 
-    // Fill/block summary: the factor cost of every ordering on this
-    // deck's static (DC) pattern, plus which path the requested
-    // dispatch actually resolves to.
+    // Fill summary: the factor cost of every ordering on this deck's
+    // static (DC) pattern, plus which path the requested dispatch
+    // actually resolves to.
     println!("sparse factor fill (static pattern):");
-    for ordering in [OrderingKind::Natural, OrderingKind::Amd, OrderingKind::Btf] {
+    for ordering in [OrderingKind::Natural, OrderingKind::Amd] {
         match sparse_fill_stats(c, ordering) {
-            Some(f) => {
-                let blocks = if f.blocks > 1 {
-                    format!(", {} blocks (largest {})", f.blocks, f.largest_block)
-                } else {
-                    String::new()
-                };
-                println!(
-                    "  {:8} pattern nnz {:6}, factor nnz {:6}{}{}",
-                    format!("{ordering:?}").to_lowercase(),
-                    f.pattern_nnz,
-                    f.lu_nnz,
-                    blocks,
-                    if f.resolved != ordering {
-                        format!(" (falls back to {:?})", f.resolved)
-                    } else {
-                        String::new()
-                    },
-                );
-            }
+            Some(f) => println!(
+                "  {:8} pattern nnz {:6}, factor nnz {:6}",
+                format!("{ordering:?}").to_lowercase(),
+                f.pattern_nnz,
+                f.lu_nnz,
+            ),
             None => println!("  {ordering:?}: canonical matrix is singular"),
         }
     }
@@ -571,4 +556,29 @@ fn bench_serve(args: &[String]) -> Result<(), String> {
         report.panicked, report.clean_shutdown,
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_ordering_accepts_the_three_orderings() {
+        for (flag, ordering) in [
+            ("natural", OrderingKind::Natural),
+            ("amd", OrderingKind::Amd),
+        ] {
+            assert_eq!(parse_ordering(flag), Ok((SolverKind::Sparse, ordering)));
+        }
+        assert_eq!(
+            parse_ordering("auto"),
+            Ok((SolverKind::Auto, OrderingKind::Auto))
+        );
+    }
+
+    #[test]
+    fn parse_ordering_rejects_btf() {
+        let e = parse_ordering("btf").unwrap_err();
+        assert_eq!(e, "--ordering must be auto, natural or amd, got `btf`");
+    }
 }

@@ -143,22 +143,18 @@ fn ladder_256_delta_campaign_is_bit_identical() {
 }
 
 /// The mesh campaign — the workload whose natural-order fill justifies
-/// the AMD ordering — run four-way: Dense, Sparse-Natural, Sparse-AMD
-/// and Sparse-BTF variants of the macro each get the full
-/// delta-vs-rebuild and threads-1-vs-4 bit-identity treatment, so plan
-/// patching over a *permuted* pattern is pinned exactly like the
-/// unpermuted paths. (The mesh is irreducible, so its forced-BTF column
-/// resolves to the AMD fallback — which is exactly the degenerate case
-/// the bit-identity contract must cover.) The configurations must also
-/// agree with each other on which faults are detected (their
-/// sensitivities differ only in the last ulps).
+/// the AMD ordering — run three-way: Dense, Sparse-Natural and
+/// Sparse-AMD variants of the macro each get the full delta-vs-rebuild
+/// and threads-1-vs-4 bit-identity treatment, so plan patching over a
+/// *permuted* pattern is pinned exactly like the unpermuted paths. The
+/// configurations must also agree with each other on which faults are
+/// detected (their sensitivities differ only in the last ulps).
 #[test]
 fn mesh_four_way_delta_campaigns_are_bit_identical() {
-    let configs: [(SolverKind, OrderingKind); 4] = [
+    let configs: [(SolverKind, OrderingKind); 3] = [
         (SolverKind::Dense, OrderingKind::Natural),
         (SolverKind::Sparse, OrderingKind::Natural),
         (SolverKind::Sparse, OrderingKind::Amd),
-        (SolverKind::Sparse, OrderingKind::Btf),
     ];
     let size = if cfg!(debug_assertions) { 64 } else { 256 };
     let mut detection: Vec<Vec<bool>> = Vec::new();
@@ -186,76 +182,18 @@ fn mesh_four_way_delta_campaigns_are_bit_identical() {
     }
     assert_eq!(detection[0], detection[1], "dense vs sparse-natural detection diverged");
     assert_eq!(detection[0], detection[2], "dense vs sparse-amd detection diverged");
-    assert_eq!(detection[0], detection[3], "dense vs sparse-btf detection diverged");
 }
 
-/// The OTA-chain campaign under *forced BTF* — the one macro whose
-/// static pattern genuinely condenses into per-stage blocks, so the
-/// delta-vs-rebuild and threads-1-vs-4 bit-identity contract here runs
-/// through the block-wise factor/solve path, patched plans and all.
-/// The BTF report's detection verdicts must also match a forced
-/// Sparse-AMD run of the same campaign.
+/// The OTA-chain campaign under forced Sparse-AMD: a many-MOSFET
+/// cascade whose delta-patched variants re-run the AMD ordering on
+/// every merged pattern, pinned delta vs rebuild and threads 1 vs 4.
 #[test]
-fn ota_chain_btf_delta_campaign_is_bit_identical() {
+fn ota_chain_amd_delta_campaign_is_bit_identical() {
     let size = if cfg!(debug_assertions) { 64 } else { 128 };
-    let mut detection: Vec<Vec<bool>> = Vec::new();
-    for ordering in [OrderingKind::Amd, OrderingKind::Btf] {
-        let mac = OtaChainMacro::with_unknowns(size)
-            .with_solver(SolverKind::Sparse, ordering);
-        let dict = mac.fault_dictionary();
-        let tests = seed_instances(&mac, &[1.0]);
-        differential(&mac, &dict, &tests);
-
-        let cache = NominalCache::new();
-        let report = evaluate_campaign(
-            &mac,
-            &cache,
-            &tests,
-            &dict,
-            &CampaignOptions {
-                threads: 2,
-                injection: InjectionMode::Delta,
-                ..CampaignOptions::default()
-            },
-        )
-        .expect("campaign");
-        detection.push(report.per_fault.iter().map(|f| f.detected).collect());
-    }
-    assert_eq!(detection[0], detection[1], "sparse-amd vs sparse-btf detection diverged");
-}
-
-/// Block-parallel BTF solves must be thread-count invariant at the
-/// analysis level, not just inside the factor kernel: the same forced
-/// Btf DC solve with `block_threads` 1 and 4 — nominal and under every
-/// dictionary fault, delta-injected — returns bit-identical states.
-#[test]
-fn btf_block_threads_solve_bit_identically() {
-    use castg::spice::{AnalysisOptions, DcAnalysis};
-    let mac = OtaChainMacro::with_unknowns(96);
-    let nominal = mac.nominal_circuit();
-    nominal.compile_plan();
-    let opts = |block_threads| AnalysisOptions {
-        solver: SolverKind::Sparse,
-        ordering: OrderingKind::Btf,
-        block_threads,
-        ..AnalysisOptions::default()
-    };
-    let solve = |circuit: &castg::spice::Circuit, threads| {
-        DcAnalysis::with_options(circuit, opts(threads)).solve().unwrap()
-    };
-    let one = solve(&nominal, 1);
-    let many = solve(&nominal, 4);
-    for (a, b) in one.state().iter().zip(many.state()) {
-        assert_eq!(a.to_bits(), b.to_bits(), "nominal block_threads 1 vs 4");
-    }
-    for fault in mac.fault_dictionary().iter() {
-        let patched = fault.inject(&nominal).unwrap();
-        let one = solve(&patched, 1);
-        let many = solve(&patched, 4);
-        for (a, b) in one.state().iter().zip(many.state()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{} block_threads 1 vs 4", fault.name());
-        }
-    }
+    let mac = OtaChainMacro::with_unknowns(size).with_solver(SolverKind::Sparse, OrderingKind::Amd);
+    let dict = mac.fault_dictionary();
+    let tests = seed_instances(&mac, &[1.0]);
+    differential(&mac, &dict, &tests);
 }
 
 /// The ladder campaign through the forced Sparse-AMD configuration:

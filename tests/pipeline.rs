@@ -110,3 +110,37 @@ fn seed_baseline_is_well_formed() {
         assert!(t.config.space().contains(&t.params));
     }
 }
+
+/// A campaign over an empty test set leaves every row at the
+/// `f64::INFINITY` sensitivity sentinel; the JSON report must still
+/// parse, with `best_sensitivity` rendered as `null`.
+#[test]
+fn json_report_over_empty_test_set_is_valid_json() {
+    use castg::core::report::{render_json_report, PipelineTimings};
+    use castg::serve::json::{parse_json, Json};
+
+    let mac = DividerMacro::new();
+    let dict = mac.fault_dictionary();
+    let cache = NominalCache::new();
+    let coverage = evaluate_test_set(&mac, &cache, &[], &dict).unwrap();
+    assert!(coverage
+        .per_fault
+        .iter()
+        .all(|f| f.best_sensitivity == f64::INFINITY));
+    let json = render_json_report(
+        mac.name(),
+        mac.macro_type(),
+        dict.len(),
+        1,
+        &PipelineTimings::default(),
+        0,
+        0,
+        &coverage,
+    );
+    let parsed = parse_json(json.as_bytes()).unwrap_or_else(|e| panic!("{e}:\n{json}"));
+    let rows = parsed.get("per_fault").and_then(Json::as_array).unwrap();
+    assert_eq!(rows.len(), dict.len());
+    for row in rows {
+        assert_eq!(row.get("best_sensitivity"), Some(&Json::Null));
+    }
+}

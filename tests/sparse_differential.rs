@@ -2,9 +2,9 @@
 //! one, end to end through the circuit simulator.
 //!
 //! Every analysis here is run through multiple solver configurations —
-//! dense LU, sparse LU in natural order, sparse LU under AMD, sparse
-//! LU under the BTF block-triangular decomposition (the four-way) — on
-//! the same circuit, and the solutions must agree to 1e-9 *relative*.
+//! dense LU, sparse LU in natural order and sparse LU under AMD (the
+//! three-way, which the `*_four_way*` tests run) — on the same circuit,
+//! and the solutions must agree to 1e-9 *relative*.
 //! The circuits come from the scalable synthetic families
 //! (`LadderMacro`, `OtaChainMacro`, `MeshMacro`, `CrossbarMacro`) and
 //! from the paper's IV-converter, nominal **and** after fault
@@ -195,26 +195,23 @@ fn auto_matches_forced_paths_at_the_boundary() {
     }
 }
 
-/// The four solver configurations the ordering differential
-/// cross-checks: dense LU, sparse LU in natural order, sparse LU under
-/// the AMD fill-reducing permutation, and sparse LU under the BTF
-/// block-triangular decomposition (which falls back to AMD on
-/// irreducible circuits, so forcing it is always well-defined).
-const FOUR_WAY: [(SolverKind, OrderingKind); 4] = [
+/// The three solver configurations the ordering differential
+/// cross-checks: dense LU, sparse LU in natural order, and sparse LU
+/// under the AMD fill-reducing permutation.
+const THREE_WAY: [(SolverKind, OrderingKind); 3] = [
     (SolverKind::Dense, OrderingKind::Natural),
     (SolverKind::Sparse, OrderingKind::Natural),
     (SolverKind::Sparse, OrderingKind::Amd),
-    (SolverKind::Sparse, OrderingKind::Btf),
 ];
 
 fn opts3(solver: SolverKind, ordering: OrderingKind) -> AnalysisOptions {
     AnalysisOptions { solver, ordering, ..AnalysisOptions::default() }
 }
 
-/// Solves the DC operating point through all four paths and compares
+/// Solves the DC operating point through all three paths and compares
 /// every MNA unknown pairwise against the dense reference.
-fn assert_dc_four_way_agrees(c: &Circuit, context: &str, tol: f64) {
-    let solutions: Vec<_> = FOUR_WAY
+fn assert_dc_three_way_agrees(c: &Circuit, context: &str, tol: f64) {
+    let solutions: Vec<_> = THREE_WAY
         .iter()
         .map(|&(solver, ordering)| {
             DcAnalysis::with_options(c, opts3(solver, ordering)).solve().unwrap_or_else(|e| {
@@ -223,7 +220,7 @@ fn assert_dc_four_way_agrees(c: &Circuit, context: &str, tol: f64) {
         })
         .collect();
     for (idx, sol) in solutions.iter().enumerate().skip(1) {
-        let (solver, ordering) = FOUR_WAY[idx];
+        let (solver, ordering) = THREE_WAY[idx];
         for (i, (d, s)) in solutions[0].state().iter().zip(sol.state()).enumerate() {
             let scale = d.abs().max(s.abs()).max(1.0);
             assert!(
@@ -239,10 +236,10 @@ fn mesh_dc_four_way_across_sizes_nominal_and_faulted() {
     for n in [64usize, 256] {
         let mac = MeshMacro::with_unknowns(n);
         let c = mac.nominal_circuit();
-        assert_dc_four_way_agrees(&c, &format!("mesh n={n}"), REL_TOL);
+        assert_dc_three_way_agrees(&c, &format!("mesh n={n}"), REL_TOL);
         for fault in mac.fault_dictionary().iter() {
             let faulty = fault.inject(&c).unwrap();
-            assert_dc_four_way_agrees(
+            assert_dc_three_way_agrees(
                 &faulty,
                 &format!("mesh n={n} fault {}", fault.name()),
                 REL_TOL,
@@ -255,19 +252,16 @@ fn mesh_dc_four_way_across_sizes_nominal_and_faulted() {
 fn ladder_dc_four_way_nominal_and_faulted() {
     let mac = LadderMacro::with_unknowns(256);
     let c = mac.nominal_circuit();
-    assert_dc_four_way_agrees(&c, "ladder n=256", REL_TOL);
+    assert_dc_three_way_agrees(&c, "ladder n=256", REL_TOL);
     for fault in mac.fault_dictionary().iter() {
         let faulty = fault.inject(&c).unwrap();
-        assert_dc_four_way_agrees(&faulty, &format!("ladder fault {}", fault.name()), REL_TOL);
+        assert_dc_three_way_agrees(&faulty, &format!("ladder fault {}", fault.name()), REL_TOL);
     }
 }
 
-/// The OTA chain is the workload BTF exists for: its Norton-biased
-/// cascade condenses into per-stage blocks under the static (DC)
-/// pattern, so the forced-BTF column here actually exercises the
-/// block-wise factor/solve path (on the other macros it falls back to
-/// AMD). Nonlinear, so the tight tolerances pin every path to the same
-/// Newton fixed point.
+/// The OTA chain: a many-MOSFET cascade solved on its static (DC)
+/// pattern. Nonlinear, so the tight tolerances pin every path to the
+/// same Newton fixed point, nominal and under every dictionary fault.
 #[test]
 fn ota_chain_dc_four_way_nominal_and_faulted() {
     let tight = |solver, ordering| AnalysisOptions {
@@ -282,7 +276,7 @@ fn ota_chain_dc_four_way_nominal_and_faulted() {
     let reference = DcAnalysis::with_options(&c, tight(SolverKind::Dense, OrderingKind::Natural))
         .solve()
         .unwrap();
-    for &(solver, ordering) in &FOUR_WAY[1..] {
+    for &(solver, ordering) in &THREE_WAY[1..] {
         let sol = DcAnalysis::with_options(&c, tight(solver, ordering)).solve().unwrap();
         for (i, (d, s)) in reference.state().iter().zip(sol.state()).enumerate() {
             let scale = d.abs().max(s.abs()).max(1.0);
@@ -298,10 +292,10 @@ fn ota_chain_dc_four_way_nominal_and_faulted() {
             DcAnalysis::with_options(&faulty, tight(SolverKind::Dense, OrderingKind::Natural))
                 .solve()
                 .unwrap();
-        let btf = DcAnalysis::with_options(&faulty, tight(SolverKind::Sparse, OrderingKind::Btf))
+        let amd = DcAnalysis::with_options(&faulty, tight(SolverKind::Sparse, OrderingKind::Amd))
             .solve()
             .unwrap();
-        for (d, s) in dense.state().iter().zip(btf.state()) {
+        for (d, s) in dense.state().iter().zip(amd.state()) {
             let scale = d.abs().max(s.abs()).max(1.0);
             assert!(
                 (d - s).abs() <= REL_TOL * scale,
@@ -312,10 +306,10 @@ fn ota_chain_dc_four_way_nominal_and_faulted() {
     }
 }
 
-/// Transient on the OTA chain across all four configurations: the
+/// Transient on the OTA chain across all three configurations: the
 /// transient Newton systems live on the full (companion-augmented)
-/// pattern, where the gate-drain capacitances make the cascade
-/// irreducible — forced BTF must fall back to AMD and still agree.
+/// pattern, where the gate capacitances couple every stage back to its
+/// driver.
 #[test]
 fn ota_chain_transient_four_way() {
     let mac = OtaChainMacro::with_unknowns(64);
@@ -336,7 +330,7 @@ fn ota_chain_transient_four_way() {
             .unwrap()
     };
     let reference = run(SolverKind::Dense, OrderingKind::Natural);
-    for &(solver, ordering) in &FOUR_WAY[1..] {
+    for &(solver, ordering) in &THREE_WAY[1..] {
         let got = run(solver, ordering);
         assert_eq!(reference.len(), got.len());
         for (i, (d, s)) in reference.column(0).iter().zip(got.column(0)).enumerate() {
@@ -349,9 +343,9 @@ fn ota_chain_transient_four_way() {
     }
 }
 
-/// AC on the OTA chain: the 2n×2n embedding couples G and ωC, so the
-/// BTF resolution runs its own transversal/condensation per sweep and
-/// falls back to the embedding's AMD ordering when it cannot condense.
+/// AC on the OTA chain: the 2n×2n embedding couples G and ωC, so a
+/// forced AMD ordering runs its own permutation of the embedding once
+/// per sweep.
 #[test]
 fn ota_chain_ac_four_way() {
     let mac = OtaChainMacro::with_unknowns(64);
@@ -365,7 +359,7 @@ fn ota_chain_ac_four_way() {
             .unwrap()
     };
     let reference = run(SolverKind::Dense, OrderingKind::Natural);
-    for &(solver, ordering) in &FOUR_WAY[1..] {
+    for &(solver, ordering) in &THREE_WAY[1..] {
         let got = run(solver, ordering);
         for (i, f) in freqs.iter().enumerate() {
             let d = reference.voltage(i, out);
@@ -381,7 +375,7 @@ fn ota_chain_ac_four_way() {
 
 /// The crossbar is the *nonlinear* mesh-fill workload: MOS readout
 /// stages on two overlaid bar lattices. Newton must converge to the
-/// same fixed point through all four solver paths, nominal and with
+/// same fixed point through all three solver paths, nominal and with
 /// bridge + pinhole faults injected.
 #[test]
 fn crossbar_dc_four_way_nominal_and_faulted() {
@@ -397,7 +391,7 @@ fn crossbar_dc_four_way_nominal_and_faulted() {
     let reference = DcAnalysis::with_options(&c, tight(SolverKind::Dense, OrderingKind::Natural))
         .solve()
         .unwrap();
-    for &(solver, ordering) in &FOUR_WAY[1..] {
+    for &(solver, ordering) in &THREE_WAY[1..] {
         let sol = DcAnalysis::with_options(&c, tight(solver, ordering)).solve().unwrap();
         for (d, s) in reference.state().iter().zip(sol.state()) {
             let scale = d.abs().max(s.abs()).max(1.0);
@@ -439,7 +433,7 @@ fn mesh_transient_four_way() {
             .unwrap()
     };
     let reference = run(SolverKind::Dense, OrderingKind::Natural);
-    for &(solver, ordering) in &FOUR_WAY[1..] {
+    for &(solver, ordering) in &THREE_WAY[1..] {
         let got = run(solver, ordering);
         assert_eq!(reference.len(), got.len());
         for (i, (d, s)) in reference.column(0).iter().zip(got.column(0)).enumerate() {
@@ -453,7 +447,7 @@ fn mesh_transient_four_way() {
 }
 
 /// AC on the mesh: the sparse path's 2n×2n real embedding gets its own
-/// AMD permutation or BTF run (computed once per sweep); magnitudes
+/// AMD permutation (computed once per sweep); magnitudes
 /// must match the dense complex solver under every ordering.
 #[test]
 fn mesh_ac_four_way() {
@@ -468,7 +462,7 @@ fn mesh_ac_four_way() {
             .unwrap()
     };
     let reference = run(SolverKind::Dense, OrderingKind::Natural);
-    for &(solver, ordering) in &FOUR_WAY[1..] {
+    for &(solver, ordering) in &THREE_WAY[1..] {
         let got = run(solver, ordering);
         for (i, f) in freqs.iter().enumerate() {
             let d = reference.voltage(i, out);
@@ -519,7 +513,7 @@ fn rectifier_faults() -> Vec<Fault> {
     faults
 }
 
-/// The diode bridge through all four solver paths, nominal and under
+/// The diode bridge through all three solver paths, nominal and under
 /// every differential fault: the exponential junction Newton must land
 /// on the same fixed point everywhere.
 #[test]
@@ -539,7 +533,7 @@ fn rectifier_dc_four_way_nominal_and_faulted() {
     let p = reference.voltage(c.find_node("p").unwrap());
     let m = reference.voltage(c.find_node("m").unwrap());
     assert!(p - m > 1.0 && p - m < 3.0, "rectified output {}", p - m);
-    for &(solver, ordering) in &FOUR_WAY[1..] {
+    for &(solver, ordering) in &THREE_WAY[1..] {
         let sol = DcAnalysis::with_options(&c, tight(solver, ordering)).solve().unwrap();
         for (i, (d, s)) in reference.state().iter().zip(sol.state()).enumerate() {
             let scale = d.abs().max(s.abs()).max(1.0);
@@ -555,7 +549,7 @@ fn rectifier_dc_four_way_nominal_and_faulted() {
             DcAnalysis::with_options(&faulty, tight(SolverKind::Dense, OrderingKind::Natural))
                 .solve()
                 .unwrap();
-        for &(solver, ordering) in &FOUR_WAY[1..] {
+        for &(solver, ordering) in &THREE_WAY[1..] {
             let sol = DcAnalysis::with_options(&faulty, tight(solver, ordering)).solve().unwrap();
             for (d, s) in dense.state().iter().zip(sol.state()) {
                 let scale = d.abs().max(s.abs()).max(1.0);
@@ -595,7 +589,7 @@ fn rectifier_transient_dense_vs_sparse() {
     }
 }
 
-/// The bipolar op-amp through all four solver paths, nominal and under
+/// The bipolar op-amp through all three solver paths, nominal and under
 /// its entire 31-fault dictionary (21 bridges + 10 junction pinholes).
 /// Faulted variants get a conditioning-aware bound like the
 /// IV-converter's: a supply bridge into the high-gain loop leaves two
@@ -614,7 +608,7 @@ fn bjt_opamp_dc_four_way_nominal_and_faulted() {
     let reference = DcAnalysis::with_options(&c, tight(SolverKind::Dense, OrderingKind::Natural))
         .solve()
         .unwrap();
-    for &(solver, ordering) in &FOUR_WAY[1..] {
+    for &(solver, ordering) in &THREE_WAY[1..] {
         let sol = DcAnalysis::with_options(&c, tight(solver, ordering)).solve().unwrap();
         for (i, (d, s)) in reference.state().iter().zip(sol.state()).enumerate() {
             let scale = d.abs().max(s.abs()).max(1.0);
@@ -630,7 +624,7 @@ fn bjt_opamp_dc_four_way_nominal_and_faulted() {
             DcAnalysis::with_options(&faulty, tight(SolverKind::Dense, OrderingKind::Natural))
                 .solve()
                 .unwrap();
-        for &(solver, ordering) in &FOUR_WAY[1..] {
+        for &(solver, ordering) in &THREE_WAY[1..] {
             let sol = DcAnalysis::with_options(&faulty, tight(solver, ordering)).solve().unwrap();
             for (d, s) in dense.state().iter().zip(sol.state()) {
                 let scale = d.abs().max(s.abs()).max(1.0);
