@@ -105,8 +105,8 @@ pub fn fig5_tolerance_box() {
     let nom2 = ev2.nominal(&level).expect("nominal measurement");
     let m1 = c1.measure(&sample, &level).expect("sample measurement");
     let m2 = c2.measure(&sample, &level).expect("sample measurement");
-    let r1 = c1.return_values(&m1, &nom1)[0];
-    let r2 = c2.return_values(&m2, &nom2)[0];
+    let r1 = c1.return_values(&m1, &nom1.measurement)[0];
+    let r2 = c2.return_values(&m2, &nom2.measurement)[0];
     rows.push_row(vec![
         "R(T)_1: process sample (good macro)".into(),
         format!("{r1:.4e}"),

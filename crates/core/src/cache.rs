@@ -5,6 +5,14 @@
 //! the whole (multi-threaded) generation run. With 55 faults probing
 //! overlapping parameter regions this roughly halves simulator work.
 //!
+//! Each entry also keeps the DC operating point the nominal circuit
+//! solved to, when the configuration reports one
+//! ([`TestConfiguration::measure_from`](crate::TestConfiguration::measure_from)).
+//! Faulted measurements at the same parameters start their DC solves
+//! from it: a bridge fault moves the operating point only locally, so
+//! plain Newton lands from there in a couple of iterations instead of
+//! climbing the ladder from zeros.
+//!
 //! The map is split into a fixed array of lock-sharded segments keyed
 //! by the key's hash: thousand-fault campaigns fan `(fault, test)` work
 //! items across every core, and all of them consult the nominal cache —
@@ -54,11 +62,24 @@ impl Key {
     }
 }
 
+/// One cached nominal result at a `(configuration, parameters)` key.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NominalEntry {
+    /// The nominal measurement.
+    pub measurement: Measurement,
+    /// The MNA state the nominal circuit's DC solve converged to, when
+    /// the configuration reports it. Faulted measurements with the same
+    /// unknown layout start their DC solves from it. The solve that
+    /// produced it is a cold, deterministic one, so the point has the
+    /// same bits whichever worker filled the entry.
+    pub operating_point: Option<Vec<f64>>,
+}
+
 /// Thread-safe, lock-sharded map from `(configuration, parameters)` to
-/// the nominal [`Measurement`].
+/// the nominal [`NominalEntry`].
 #[derive(Debug)]
 pub struct NominalCache {
-    shards: [RwLock<HashMap<Key, Arc<Measurement>>>; SHARDS],
+    shards: [RwLock<HashMap<Key, Arc<NominalEntry>>>; SHARDS],
 }
 
 impl Default for NominalCache {
@@ -73,7 +94,7 @@ impl NominalCache {
         NominalCache::default()
     }
 
-    /// Returns the cached measurement or computes and stores it.
+    /// Returns the cached entry or computes and stores it.
     ///
     /// Concurrent callers may race to compute the same entry; the first
     /// stored value wins and later duplicates are discarded (the compute
@@ -88,9 +109,9 @@ impl NominalCache {
         config_id: usize,
         params: &[f64],
         compute: F,
-    ) -> Result<Arc<Measurement>, CoreError>
+    ) -> Result<Arc<NominalEntry>, CoreError>
     where
-        F: FnOnce() -> Result<Measurement, CoreError>,
+        F: FnOnce() -> Result<NominalEntry, CoreError>,
     {
         let key = Key::new(config_id, params);
         let shard = &self.shards[key.shard()];
@@ -125,8 +146,8 @@ impl NominalCache {
 mod tests {
     use super::*;
 
-    fn m(v: f64) -> Result<Measurement, CoreError> {
-        Ok(Measurement::scalar(v))
+    fn m(v: f64) -> Result<NominalEntry, CoreError> {
+        Ok(NominalEntry { measurement: Measurement::scalar(v), operating_point: None })
     }
 
     #[test]

@@ -61,6 +61,14 @@ impl Measurement {
 /// * [`measure`](TestConfiguration::measure) simulates one application of
 ///   the test to a circuit (nominal or faulty) and returns the raw
 ///   observation.
+/// * [`measure_from`](TestConfiguration::measure_from) is the same
+///   application with the DC operating point exposed: it returns the
+///   point the circuit's DC solve converged to, and it may start that
+///   solve from a caller-supplied point. The campaign engine captures
+///   the point on the nominal circuit and warm-starts the faulted
+///   circuits from it. The provided default ignores the start and
+///   reports no point, so a configuration that does not override it is
+///   simply never warm-started.
 /// * [`return_values`](TestConfiguration::return_values) maps a
 ///   measurement to the configuration's return values `R(T)`, given the
 ///   nominal measurement at the same parameters — this is where Δ-style
@@ -97,6 +105,31 @@ pub trait TestConfiguration: Send + Sync {
     /// [`CoreError::Configuration`] for a wrong-sized parameter vector;
     /// [`CoreError::Simulation`] if the circuit fails to converge.
     fn measure(&self, circuit: &Circuit, params: &[f64]) -> Result<Measurement, CoreError>;
+
+    /// [`measure`](TestConfiguration::measure) with the DC operating
+    /// point exposed: returns the measurement plus, when the
+    /// measurement is a DC solve, the MNA state it converged to.
+    ///
+    /// With `start = None` the measurement must be bit-identical to
+    /// `measure`'s. With `Some(start)` the DC solve may start from
+    /// `start` (see [`castg_spice::DcAnalysis::solve_from`]), and the
+    /// measurement may then differ from a cold one within the solver's
+    /// tolerances. Callers pass a start only when it has the circuit's
+    /// unknown layout (same node and branch counts). The default
+    /// ignores `start` and returns no point.
+    ///
+    /// # Errors
+    ///
+    /// As for [`measure`](TestConfiguration::measure).
+    fn measure_from(
+        &self,
+        circuit: &Circuit,
+        params: &[f64],
+        start: Option<&[f64]>,
+    ) -> Result<(Measurement, Option<Vec<f64>>), CoreError> {
+        let _ = start;
+        Ok((self.measure(circuit, params)?, None))
+    }
 
     /// Maps a measurement (and the nominal measurement at the same
     /// parameters) to the configuration's return values.

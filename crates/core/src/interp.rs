@@ -39,8 +39,8 @@ use std::sync::Arc;
 use castg_dsp::{metrics, thd, UniformSamples};
 use castg_numeric::{Bounds, ParamSpace};
 use castg_spice::{
-    AnalysisOptions, Circuit, DcAnalysis, DeviceKind, IntegrationMethod, NodeId, OrderingKind,
-    Probe, SolverKind, TranAnalysis, Waveform,
+    AnalysisOptions, Circuit, DcAnalysis, DcSolution, DeviceKind, IntegrationMethod, NodeId,
+    OrderingKind, Probe, SolverKind, SpiceError, TranAnalysis, Waveform,
 };
 
 use crate::config::{check_params, Measurement};
@@ -478,6 +478,23 @@ impl DescribedConfig {
         }
     }
 
+    /// The DC solve of the `dc()` and `i()` observations: cold, or
+    /// warm-started from `start`.
+    fn solve_dc(
+        &self,
+        circuit: &Circuit,
+        stimulus: &str,
+        wave: Waveform,
+        start: Option<&[f64]>,
+    ) -> Result<DcSolution, SpiceError> {
+        let dc = DcAnalysis::with_options(circuit, self.dc_options())
+            .override_stimulus(stimulus, wave);
+        match start {
+            Some(start) => dc.solve_from(start),
+            None => dc.solve(),
+        }
+    }
+
     /// Transient options: the description's `reltol` (when declared)
     /// loosened onto the defaults, exactly like the hand-coded macros'
     /// long-transient configurations, plus the solver/ordering dispatch.
@@ -547,20 +564,29 @@ impl TestConfiguration for DescribedConfig {
     }
 
     fn measure(&self, circuit: &Circuit, params: &[f64]) -> Result<Measurement, CoreError> {
+        self.measure_from(circuit, params, None).map(|(m, _)| m)
+    }
+
+    /// `dc()` and `i()` observations start their DC solve from `start`
+    /// and report the state it converged to; transient and THD
+    /// observations ignore `start` and report no point.
+    fn measure_from(
+        &self,
+        circuit: &Circuit,
+        params: &[f64],
+        start: Option<&[f64]>,
+    ) -> Result<(Measurement, Option<Vec<f64>>), CoreError> {
         check_params(self, params)?;
         let stimulus = self.stimulus_device(circuit)?.to_string();
         let wave = self.waveform(params);
-        match &self.observe {
+        Ok(match &self.observe {
             ObserveKind::Dc => {
-                let sol = DcAnalysis::with_options(circuit, self.dc_options())
-                    .override_stimulus(&stimulus, wave)
-                    .solve()?;
-                Ok(Measurement::scalar(sol.voltage(self.observe_node(circuit)?)))
+                let sol = self.solve_dc(circuit, &stimulus, wave, start)?;
+                let v = sol.voltage(self.observe_node(circuit)?);
+                (Measurement::scalar(v), Some(sol.state().to_vec()))
             }
             ObserveKind::BranchCurrent => {
-                let sol = DcAnalysis::with_options(circuit, self.dc_options())
-                    .override_stimulus(&stimulus, wave)
-                    .solve()?;
+                let sol = self.solve_dc(circuit, &stimulus, wave, start)?;
                 // Device identifiers are case-insensitive like every
                 // other lookup in this interpreter; source_current
                 // itself matches exactly, so resolve the real name.
@@ -576,7 +602,7 @@ impl TestConfiguration for DescribedConfig {
                         self.observe_target
                     ))
                 })?;
-                Ok(Measurement::scalar(i))
+                (Measurement::scalar(i), Some(sol.state().to_vec()))
             }
             ObserveKind::Sample { rate, time } => {
                 let out = self.observe_node(circuit)?;
@@ -585,11 +611,8 @@ impl TestConfiguration for DescribedConfig {
                     TranAnalysis::with_options(circuit, self.tran_options(), self.method())
                         .override_stimulus(&stimulus, wave)
                         .run(time.eval(params), dt, &[Probe::NodeVoltage(out)])?;
-                Ok(Measurement::Waveform(UniformSamples::new(
-                    0.0,
-                    dt,
-                    trace.column(0).to_vec(),
-                )))
+                let samples = UniformSamples::new(0.0, dt, trace.column(0).to_vec());
+                (Measurement::Waveform(samples), None)
             }
             ObserveKind::Thd { freq } => {
                 let out = self.observe_node(circuit)?;
@@ -616,9 +639,9 @@ impl TestConfiguration for DescribedConfig {
                     .to_vec();
                 let samples = UniformSamples::new(0.0, dt, vals);
                 let d = thd(&samples, f0, self.thd_harmonics).unwrap_or(self.thd_stuck);
-                Ok(Measurement::scalar(d))
+                (Measurement::scalar(d), None)
             }
-        }
+        })
     }
 
     fn return_values(&self, measured: &Measurement, nominal: &Measurement) -> Vec<f64> {

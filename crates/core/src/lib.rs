@@ -42,6 +42,38 @@
 //! `tests/campaign_differential.rs` pins that for the IV-converter and
 //! ladder-n=256 dictionaries on both solver paths.
 //!
+//! # Warm-started faulted DC solves
+//!
+//! The [`NominalCache`] keeps, beside each nominal measurement, the DC
+//! operating point the nominal circuit solved to at the same test
+//! parameters ([`NominalEntry::operating_point`], reported by
+//! [`TestConfiguration::measure_from`]). Every faulted measurement —
+//! generation's optimizer probes, the compaction screen and the
+//! evaluation campaign all go through [`Evaluator`] — starts its DC
+//! solve from that point (`castg_spice::DcAnalysis::solve_from`): a
+//! bridge moves the operating point only locally, so plain Newton
+//! usually lands in one or two iterations instead of climbing the
+//! ladder from zeros. A start that does not land falls back to exactly
+//! the cold ladder.
+//!
+//! A warm start applies only when the faulted circuit is nonlinear and
+//! keeps the nominal's unknown layout (same node and branch counts):
+//!
+//! * **Bridges** add a resistor between existing nodes and qualify.
+//! * **Pinholes** split a transistor channel at a new node; the start
+//!   has no entry for it, so pinhole variants stay cold.
+//! * **Linear plans** converge in one factorization from zeros anyway,
+//!   and a warm start would only move the last bits of their answer.
+//!   They stay cold, so linear macros keep their reports bit for bit.
+//!
+//! Only [`DescribedConfig`]'s `dc()` and `i()` observations report a
+//! point; transient observations and hand-coded configurations keep the
+//! provided default and are never warm-started. The start comes from a
+//! cold, deterministic nominal solve, so it has the same bits whichever
+//! worker filled the cache: reports stay bit-identical at any thread
+//! count and under either injection mode. Nonlinear described macros'
+//! reports differ from a cold campaign's within solver tolerance.
+//!
 //! # Convergence resilience: campaigns that never die
 //!
 //! Real dictionaries inject pathological variants — bridges that
@@ -111,7 +143,7 @@ pub mod synthetic;
 mod tps;
 
 pub use baseline::{compare_with_baseline, seed_test_set, BaselineComparison};
-pub use cache::NominalCache;
+pub use cache::{NominalCache, NominalEntry};
 pub use compact::{compact, CompactTest, CompactionOptions, CompactionReport, ImpactLevel};
 pub use config::{check_params, Measurement, TestConfiguration};
 pub use descr::{ConfigDescription, ParamSpec, PortAction};

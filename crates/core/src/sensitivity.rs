@@ -7,7 +7,7 @@ use castg_faults::Fault;
 use castg_numeric::NumericError;
 use castg_spice::{Circuit, SpiceError};
 
-use crate::cache::NominalCache;
+use crate::cache::{NominalCache, NominalEntry};
 use crate::config::Measurement;
 use crate::{CoreError, TestConfiguration};
 
@@ -165,16 +165,37 @@ impl<'a> Evaluator<'a> {
         Ok(fault.inject(self.nominal_circuit)?)
     }
 
-    /// Nominal measurement at `params`, cached.
+    /// Nominal measurement at `params`, cached together with the DC
+    /// operating point the configuration reports for it.
+    ///
+    /// A linear nominal circuit keeps no point: its faulted variants
+    /// are linear too (bridges add resistors, pinholes need a
+    /// nonlinear device to short), and a linear solve is never
+    /// warm-started.
     ///
     /// # Errors
     ///
     /// Propagates measurement errors (the nominal circuit is expected to
     /// simulate cleanly everywhere inside the parameter bounds).
-    pub fn nominal(&self, params: &[f64]) -> Result<Arc<Measurement>, CoreError> {
+    pub fn nominal(&self, params: &[f64]) -> Result<Arc<NominalEntry>, CoreError> {
         self.cache.get_or_insert(self.config.id(), params, || {
-            self.config.measure(self.nominal_circuit, params)
+            let (measurement, point) =
+                self.config.measure_from(self.nominal_circuit, params, None)?;
+            let operating_point = point.filter(|_| !self.nominal_circuit.is_linear());
+            Ok(NominalEntry { measurement, operating_point })
         })
+    }
+
+    /// Whether a faulted circuit's DC solves may start from the nominal
+    /// operating point: only when the variant is nonlinear and keeps
+    /// the nominal's unknown layout (node and branch counts). Bridges
+    /// qualify. A pinhole adds a node and stays cold. A linear variant
+    /// converges in one factorization from zeros, and a warm start
+    /// would only move the last bits of its answer.
+    fn warm_start_applies(&self, faulty_circuit: &Circuit) -> bool {
+        faulty_circuit.node_count() == self.nominal_circuit.node_count()
+            && faulty_circuit.unknown_count() == self.nominal_circuit.unknown_count()
+            && !faulty_circuit.is_linear()
     }
 
     /// Full sensitivity evaluation of `fault` (at its current impact) at
@@ -191,18 +212,25 @@ impl<'a> Evaluator<'a> {
         self.evaluate_injected(&faulty_circuit, params)
     }
 
-    /// Measures the faulty circuit, mapping a simulation breakdown
-    /// (non-convergence, singular system, numerical failure, budget
-    /// overrun — a grossly broken device) to `Ok(Err(classification))`.
-    /// The single home of the sim-failure error set, shared by the
-    /// report and the lean scalar paths.
+    /// Measures the faulty circuit, warm-started from the nominal
+    /// operating point when [`warm_start_applies`](Self::warm_start_applies),
+    /// mapping a simulation breakdown (non-convergence, singular
+    /// system, numerical failure, budget overrun — a grossly broken
+    /// device) to `Ok(Err(classification))`. The single home of the
+    /// sim-failure error set, shared by the report and the lean scalar
+    /// paths.
     fn measure_faulty(
         &self,
         faulty_circuit: &Circuit,
         params: &[f64],
+        nominal: &NominalEntry,
     ) -> Result<Result<Measurement, SimFailure>, CoreError> {
-        match self.config.measure(faulty_circuit, params) {
-            Ok(m) => Ok(Ok(m)),
+        let start = nominal
+            .operating_point
+            .as_deref()
+            .filter(|_| self.warm_start_applies(faulty_circuit));
+        match self.config.measure_from(faulty_circuit, params, start) {
+            Ok((m, _)) => Ok(Ok(m)),
             Err(CoreError::Simulation(e)) => match classify_sim_failure(e) {
                 Ok(failure) => Ok(Err(failure)),
                 Err(hard) => Err(CoreError::Simulation(hard)),
@@ -222,13 +250,14 @@ impl<'a> Evaluator<'a> {
         faulty_circuit: &Circuit,
         params: &[f64],
     ) -> Result<SensitivityReport, CoreError> {
-        let nominal_m = self.nominal(params)?;
-        let nominal_returns = self.config.return_values(&nominal_m, &nominal_m);
+        let nominal = self.nominal(params)?;
+        let nominal_m = &nominal.measurement;
+        let nominal_returns = self.config.return_values(nominal_m, nominal_m);
         let boxes = self.config.tolerance_box(params, &nominal_returns);
 
-        match self.measure_faulty(faulty_circuit, params)? {
+        match self.measure_faulty(faulty_circuit, params, &nominal)? {
             Ok(faulty_m) => {
-                let faulty_returns = self.config.return_values(&faulty_m, &nominal_m);
+                let faulty_returns = self.config.return_values(&faulty_m, nominal_m);
                 let deviations: Vec<f64> = faulty_returns
                     .iter()
                     .zip(&nominal_returns)
@@ -289,12 +318,13 @@ impl<'a> Evaluator<'a> {
         faulty_circuit: &Circuit,
         params: &[f64],
     ) -> Result<(f64, Option<SimFailure>), CoreError> {
-        let nominal_m = self.nominal(params)?;
-        let nominal_returns = self.config.return_values(&nominal_m, &nominal_m);
+        let nominal = self.nominal(params)?;
+        let nominal_m = &nominal.measurement;
+        let nominal_returns = self.config.return_values(nominal_m, nominal_m);
         let boxes = self.config.tolerance_box(params, &nominal_returns);
-        match self.measure_faulty(faulty_circuit, params)? {
+        match self.measure_faulty(faulty_circuit, params, &nominal)? {
             Ok(faulty_m) => {
-                let faulty_returns = self.config.return_values(&faulty_m, &nominal_m);
+                let faulty_returns = self.config.return_values(&faulty_m, nominal_m);
                 // Fold `sensitivity` over on-the-fly deviations: the
                 // same `f − n` pairs through the same per-return term,
                 // in the same order as the report path, so the fold

@@ -66,7 +66,7 @@
 //! # Ok::<(), castg_numeric::NumericError>(())
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::{Matrix, NumericError};
 
@@ -117,15 +117,32 @@ impl StampTarget for Matrix {
 /// The immutable structure of a [`SparseMatrix`]: dimension plus CSC
 /// column pointers and sorted row indices. Shared by `Arc` between the
 /// matrix, its clones, and the [`SparseLu`] symbolic analysis, so
-/// "same pattern" checks are pointer comparisons.
-#[derive(Debug, PartialEq, Eq)]
+/// "same pattern" checks are pointer comparisons. Equality compares
+/// content only.
+#[derive(Debug)]
 pub struct SparsePattern {
     pub(crate) n: usize,
     pub(crate) col_ptr: Vec<usize>,
     pub(crate) row_idx: Vec<usize>,
+    /// [`amd_ordering`](SparsePattern::amd_ordering) of this pattern,
+    /// computed on the first [`amd_permutation`](SparsePattern::amd_permutation)
+    /// call.
+    amd: OnceLock<Vec<usize>>,
 }
 
+impl PartialEq for SparsePattern {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.col_ptr == other.col_ptr && self.row_idx == other.row_idx
+    }
+}
+
+impl Eq for SparsePattern {}
+
 impl SparsePattern {
+    fn new(n: usize, col_ptr: Vec<usize>, row_idx: Vec<usize>) -> Self {
+        SparsePattern { n, col_ptr, row_idx, amd: OnceLock::new() }
+    }
+
     /// Matrix dimension.
     pub fn dim(&self) -> usize {
         self.n
@@ -294,6 +311,17 @@ impl SparsePattern {
         perm
     }
 
+    /// [`amd_ordering`](SparsePattern::amd_ordering), computed once per
+    /// pattern object and cached on it. The ordering is a pure function
+    /// of the pattern's content, so the cache is exact. Everything that
+    /// shares this pattern's `Arc` shares the permutation too — among
+    /// them a fault variant whose extra slots the pattern already holds
+    /// ([`merged_with`](SparsePattern::merged_with) returns the same
+    /// `Arc`).
+    pub fn amd_permutation(&self) -> &[usize] {
+        self.amd.get_or_init(|| self.amd_ordering())
+    }
+
     /// The pattern extended by the given `(row, col)` slots: identical
     /// content to rebuilding from the union of all slots, built by a
     /// linear merge instead of an O(nnz log nnz) sort. Slots already
@@ -345,7 +373,7 @@ impl SparsePattern {
             row_idx.extend_from_slice(&seg[s..]);
             col_ptr.push(row_idx.len());
         }
-        Arc::new(SparsePattern { n, col_ptr, row_idx })
+        Arc::new(SparsePattern::new(n, col_ptr, row_idx))
     }
 }
 
@@ -389,7 +417,7 @@ impl SparseMatrix {
             col_ptr[c + 1] += col_ptr[c];
         }
         SparseMatrix {
-            pattern: Arc::new(SparsePattern { n, col_ptr, row_idx }),
+            pattern: Arc::new(SparsePattern::new(n, col_ptr, row_idx)),
             values: vec![0.0; slots.len()],
         }
     }
@@ -1416,6 +1444,19 @@ mod tests {
         all.extend_from_slice(&extra);
         let rebuilt = SparseMatrix::from_entries(3, &all);
         assert_eq!(&*merged, &**rebuilt.pattern(), "merged pattern content diverged");
+    }
+
+    /// The cached AMD permutation equals a fresh `amd_ordering()`, is
+    /// computed once per pattern object, and content equality ignores
+    /// whether it has been computed.
+    #[test]
+    fn amd_permutation_is_cached_per_pattern() {
+        let a = grid(4, 5, 3);
+        let b = grid(4, 5, 3);
+        let perm = a.pattern().amd_permutation();
+        assert_eq!(perm, a.pattern().amd_ordering().as_slice());
+        assert!(std::ptr::eq(perm, a.pattern().amd_permutation()), "computed twice");
+        assert_eq!(a.pattern(), b.pattern(), "the cache must not affect equality");
     }
 
     /// 5-point-Laplacian pattern of a `rows × cols` grid (the MNA

@@ -669,6 +669,14 @@ impl Circuit {
         self.node_count() - 1 + self.branch_count()
     }
 
+    /// Whether the circuit has no nonlinear device (MOSFET, diode, BJT):
+    /// its MNA matrix then does not depend on the solution, so a DC
+    /// solve converges in one factorization from any start. Compiles
+    /// the plan if it is not compiled yet.
+    pub fn is_linear(&self) -> bool {
+        self.plan().is_linear()
+    }
+
     /// Number of branch-current unknowns (voltage-defined devices).
     pub fn branch_count(&self) -> usize {
         self.devices.iter().filter(|d| d.has_branch_current()).count()

@@ -22,6 +22,14 @@
 //!    left un-augmented so structural singularities (voltage-source
 //!    loops) still surface as [`SpiceError::Singular`].
 //!
+//! A warm-started solve ([`DcAnalysis::solve_from`]) puts one more plain
+//! rung in front of the ladder, run from the caller's start. When it
+//! lands, the solve is done; when it fails, the ladder above runs
+//! unchanged from zeros on fresh solver state, so a failed warm start
+//! costs its few iterations and never changes a cold result's bits.
+//! Fault campaigns start faulted solves from the fault-free operating
+//! point this way.
+//!
 //! Each solve reports the landing strategy and per-rung iteration/
 //! residual accounting in a typed [`ConvergenceReport`], and charges
 //! every iteration against the per-analysis caps of
@@ -269,7 +277,8 @@ struct RungCfg<'a> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvergenceReport {
     /// Every rung attempted, in ladder order; the last entry is the one
-    /// that converged.
+    /// that converged. A warm-started solve lists its warm plain rung
+    /// first, ahead of the cold ladder's own plain rung.
     pub rungs: Vec<RungStat>,
     /// The strategy that produced the solution.
     pub strategy: NewtonStrategy,
@@ -384,22 +393,39 @@ impl<'c> DcAnalysis<'c> {
     /// stepping all fail; [`SpiceError::Numeric`] if the MNA matrix is
     /// structurally singular (floating subcircuit, voltage-source loop).
     pub fn solve(&self) -> Result<DcSolution, SpiceError> {
-        let x0 = vec![0.0; self.circuit.unknown_count()];
-        self.solve_from(&x0)
+        self.run(None)
     }
 
-    /// Solves the operating point starting from a caller-supplied state
-    /// (useful to warm-start a slightly perturbed circuit).
+    /// Solves the operating point warm-started from `start` — typically
+    /// the solved state of a nearby circuit with the same unknown
+    /// layout, such as the fault-free circuit a bridge fault perturbs.
+    ///
+    /// The solve first runs one plain (undamped) Newton rung from
+    /// `start`, capped like the cold ladder's plain rung. If that rung
+    /// converges the solution lands as [`NewtonStrategy::Plain`]. If it
+    /// fails, the solve runs exactly the ladder of
+    /// [`solve`](DcAnalysis::solve): from zeros, on fresh solver state,
+    /// so the result is bit-identical to `solve()`'s whenever both
+    /// converge within the budget. Both parts charge one iteration
+    /// budget, and the warm rung is listed first in
+    /// [`ConvergenceReport::rungs`].
     ///
     /// # Errors
     ///
     /// As for [`DcAnalysis::solve`]; additionally
-    /// [`SpiceError::InvalidAnalysis`] if `initial` has the wrong length.
-    pub fn solve_from(&self, initial: &[f64]) -> Result<DcSolution, SpiceError> {
+    /// [`SpiceError::InvalidAnalysis`] if `start` has the wrong length.
+    pub fn solve_from(&self, start: &[f64]) -> Result<DcSolution, SpiceError> {
+        self.run(Some(start))
+    }
+
+    /// The DC solve behind [`solve`](DcAnalysis::solve) (`start =
+    /// None`) and [`solve_from`](DcAnalysis::solve_from): an optional
+    /// warm plain rung, then the cold ladder.
+    fn run(&self, start: Option<&[f64]>) -> Result<DcSolution, SpiceError> {
         let n = self.circuit.unknown_count();
-        if initial.len() != n {
+        if let Some(start) = start.filter(|s| s.len() != n) {
             return Err(SpiceError::InvalidAnalysis {
-                reason: format!("initial state length {} != unknown count {n}", initial.len()),
+                reason: format!("initial state length {} != unknown count {n}", start.len()),
             });
         }
         let overrides = resolve_overrides(self.circuit, &self.overrides)?;
@@ -409,19 +435,22 @@ impl<'c> DcAnalysis<'c> {
             return Ok(self.package(Vec::new(), convergence));
         }
 
-        // One compiled plan + one set of solver buffers for the whole
-        // solve, shared across all ladder rungs; one state vector
-        // mutated in place by the Newton iterations.
+        // One compiled plan + one set of solver buffers per part of the
+        // solve (warm rung, cold ladder), shared across that part's
+        // rungs; one state vector mutated in place by the Newton
+        // iterations.
         // DC factors the static pattern: capacitors are open, and
         // carrying their slots would cost fill (see `PatternScope`).
-        let mut scratch = NewtonScratch::new(
-            self.circuit,
-            self.options.solver,
-            self.options.ordering,
-            crate::stamp::PatternScope::Static,
-        );
-        scratch.overrides = overrides;
-        let mut x = initial.to_vec();
+        let new_scratch = |overrides: Vec<(usize, Waveform)>| {
+            let mut scratch = NewtonScratch::new(
+                self.circuit,
+                self.options.solver,
+                self.options.ordering,
+                crate::stamp::PatternScope::Static,
+            );
+            scratch.overrides = overrides;
+            scratch
+        };
         let mut budget = IterBudget::start("dc operating point", &self.options);
         let mut rungs: Vec<RungStat> = Vec::new();
         let opts = self.options;
@@ -451,10 +480,10 @@ impl<'c> DcAnalysis<'c> {
             }};
         }
 
-        // 1. Plain Newton from the provided start, cheaply capped: it
-        // exists for warm starts and mildly nonlinear circuits; a stiff
-        // cold start must fall through fast.
-        let cfg = RungCfg {
+        // Plain Newton, cheaply capped: it exists for warm starts and
+        // mildly nonlinear circuits; a stiff cold start must fall
+        // through fast.
+        let plain_cfg = RungCfg {
             gmin: opts.gmin,
             source_scale: 1.0,
             max_iter: opts.max_iter.min(PLAIN_RUNG_CAP),
@@ -462,8 +491,31 @@ impl<'c> DcAnalysis<'c> {
             max_boost: 1.0,
             ptc: None,
         };
+
+        // 0. The warm plain rung. Its scratch is dropped afterwards: a
+        // refactorization fallback may have re-pivoted the LU workspace,
+        // and the cold ladder must start from the state `solve()` sees.
+        if let Some(start) = start {
+            let mut scratch = new_scratch(overrides.clone());
+            let mut x = start.to_vec();
+            let mut stat = RungStat::new(NewtonStrategy::Plain);
+            let warm = self.newton(&mut x, &mut scratch, &plain_cfg, &mut budget, &mut stat);
+            rungs.push(stat);
+            match warm {
+                Ok(()) => land!(x, NewtonStrategy::Plain),
+                Err(e) => {
+                    rung_failed!(e);
+                }
+            }
+        }
+
+        // The cold ladder, from zeros.
+        let mut scratch = new_scratch(overrides);
+        let mut x = vec![0.0; n];
+
+        // 1. Plain Newton from zeros.
         let mut stat = RungStat::new(NewtonStrategy::Plain);
-        let plain = self.newton(&mut x, &mut scratch, &cfg, &mut budget, &mut stat);
+        let plain = self.newton(&mut x, &mut scratch, &plain_cfg, &mut budget, &mut stat);
         rungs.push(stat);
         match plain {
             Ok(()) => land!(x, NewtonStrategy::Plain),
@@ -473,7 +525,7 @@ impl<'c> DcAnalysis<'c> {
         }
 
         // 2. Damped Newton with adaptive clamp growth, restarted.
-        x.copy_from_slice(initial);
+        x.fill(0.0);
         let cfg = RungCfg {
             gmin: opts.gmin,
             source_scale: 1.0,
@@ -493,7 +545,7 @@ impl<'c> DcAnalysis<'c> {
         }
 
         // 3. gmin stepping: relax a strong shunt decade by decade.
-        x.copy_from_slice(initial);
+        x.fill(0.0);
         let mut stat = RungStat::new(NewtonStrategy::GminStepping);
         let mut gmin = 1e-2;
         let outcome = loop {
@@ -583,8 +635,8 @@ impl<'c> DcAnalysis<'c> {
         // holds high-gain feedback loops still; branch rows stay
         // un-augmented so voltage-source-loop singularities still
         // surface as `Singular` rather than being masked.
-        x.copy_from_slice(initial);
-        let mut anchor = initial.to_vec();
+        x.fill(0.0);
+        let mut anchor = vec![0.0; n];
         let mut stat = RungStat::new(NewtonStrategy::PseudoTransient);
         // `alpha` is the last *converged* anchor conductance; each stage
         // tries `alpha / decay`. A failed stage retreats the iterate to
@@ -632,7 +684,7 @@ impl<'c> DcAnalysis<'c> {
                             break Err(e);
                         }
                         alpha *= 10.0;
-                        x.copy_from_slice(initial);
+                        x.fill(0.0);
                     } else {
                         if decay <= PTC_DECAY_MIN {
                             break Err(e);
@@ -973,6 +1025,71 @@ mod tests {
         let sol = DcAnalysis::new(&c).solve_from(&vec![1e16; n]).unwrap();
         assert!((sol.voltage(out) - 1.0).abs() < 1e-6, "v(out) = {}", sol.voltage(out));
         assert!((sol.voltage(vin) - 2.0).abs() < 1e-6, "v(vin) = {}", sol.voltage(vin));
+    }
+
+    /// A diode-connected NMOS load under a resistor pull-up: a cold
+    /// start needs the damped rung.
+    fn mos_pullup() -> Circuit {
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let d = c.node("d");
+        c.add_vsource("VDD", vdd, Circuit::GROUND, Waveform::dc(5.0)).unwrap();
+        c.add_resistor("RD", vdd, d, 10e3).unwrap();
+        let params = MosParams::nmos_default(10e-6, 1e-6);
+        c.add_mosfet("M1", d, d, Circuit::GROUND, Circuit::GROUND, MosPolarity::Nmos, params)
+            .unwrap();
+        c
+    }
+
+    fn bits(state: &[f64]) -> Vec<u64> {
+        state.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn solve_from_own_solution_lands_plain_in_one_iteration() {
+        let c = mos_pullup();
+        let cold = DcAnalysis::new(&c).solve().unwrap();
+        let warm = DcAnalysis::new(&c).solve_from(cold.state()).unwrap();
+        let report = warm.convergence();
+        assert_eq!(report.strategy, NewtonStrategy::Plain);
+        assert_eq!(report.rungs.len(), 1);
+        assert_eq!(warm.newton_iterations(), 1);
+    }
+
+    /// A start plain Newton cannot land from falls back to exactly the
+    /// cold ladder: the warm rung is listed first, the rest of the
+    /// trail and the state are `solve()`'s, bit for bit.
+    #[test]
+    fn failed_warm_start_reproduces_the_cold_solve_bit_for_bit() {
+        let c = mos_pullup();
+        let cold = DcAnalysis::new(&c).solve().unwrap();
+        assert_ne!(cold.convergence().strategy, NewtonStrategy::Plain);
+        let start = vec![-40.0; c.unknown_count()];
+        let warm = DcAnalysis::new(&c).solve_from(&start).unwrap();
+        let rungs = &warm.convergence().rungs;
+        assert_eq!(rungs[0].strategy, NewtonStrategy::Plain);
+        assert!(!rungs[0].converged, "the warm rung was expected to fail: {rungs:?}");
+        assert_eq!(&rungs[1..], cold.convergence().rungs.as_slice());
+        assert_eq!(warm.convergence().strategy, cold.convergence().strategy);
+        assert_eq!(bits(warm.state()), bits(cold.state()));
+    }
+
+    /// The warm rung and the cold ladder charge one iteration budget.
+    #[test]
+    fn warm_rung_iterations_count_against_max_total_iter() {
+        let c = mos_pullup();
+        let cold_iters = DcAnalysis::new(&c).solve().unwrap().newton_iterations();
+        let start = vec![-40.0; c.unknown_count()];
+        let warm_iters = DcAnalysis::new(&c).solve_from(&start).unwrap().newton_iterations();
+        assert!(warm_iters > cold_iters);
+        let capped =
+            |cap: usize| AnalysisOptions { max_total_iter: Some(cap), ..Default::default() };
+        // The cold solve fits its own count, the warm-started one does not.
+        assert!(DcAnalysis::with_options(&c, capped(cold_iters)).solve().is_ok());
+        let err = DcAnalysis::with_options(&c, capped(cold_iters)).solve_from(&start).unwrap_err();
+        assert!(matches!(err, SpiceError::NoConvergence { .. }), "{err:?}");
+        let sol = DcAnalysis::with_options(&c, capped(warm_iters)).solve_from(&start).unwrap();
+        assert_eq!(sol.newton_iterations(), warm_iters);
     }
 
     #[test]

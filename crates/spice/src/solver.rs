@@ -54,10 +54,11 @@ pub const AMD_AUTO_MIN_BLOWUP: f64 = 2.0;
 ///
 /// Orthogonal to [`SolverKind`]: the ordering only matters on the
 /// sparse path (dense LU ignores it). The permutation is computed once
-/// per circuit pattern, recorded in the plan's canonical symbolic
-/// analysis, and inherited by every seeded solver instance — including
-/// refactorizations and stability fallbacks — so a whole fault campaign
-/// pays one AMD run per circuit variant.
+/// per sparsity pattern and cached on it, recorded in the plan's
+/// canonical symbolic analysis, and inherited by every seeded solver
+/// instance — including refactorizations and stability fallbacks — so
+/// a whole fault campaign pays one AMD run per distinct pattern: bridge
+/// variants that add no slot reuse the nominal circuit's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OrderingKind {
     /// Compare the actual `nnz(L+U)` of both orderings on the circuit's
@@ -190,7 +191,7 @@ impl MnaSolver {
                 Some(symbolic) => lu.seed_symbolic(symbolic),
                 None => {
                     if plan.resolve_ordering(ordering, scope) == OrderingKind::Amd {
-                        lu.set_ordering(plan.amd_permutation(scope).clone());
+                        lu.set_ordering(plan.amd_permutation(scope).to_vec());
                     }
                 }
             }

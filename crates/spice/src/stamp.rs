@@ -529,16 +529,11 @@ struct ScopeCaches {
     /// column ordering; `None` inside when the canonical matrix is
     /// singular. Every sparse solver instance for this circuit seeds
     /// from the one its analysis ordering resolves to, so a whole fault
-    /// campaign pays one symbolic analysis (and at most one AMD run)
-    /// per circuit variant and scope.
+    /// campaign pays one symbolic analysis per circuit variant and
+    /// scope (and one AMD run per distinct pattern, see
+    /// [`amd_permutation`](StampPlan::amd_permutation)).
     canonical_natural: OnceLock<Option<Arc<SparseSymbolic>>>,
     canonical_amd: OnceLock<Option<Arc<SparseSymbolic>>>,
-    /// Lazily computed AMD permutation of this scope's pattern: one
-    /// ordering construction per plan and scope, shared by the Auto
-    /// comparison, the canonical AMD factorization, and solver
-    /// instances that must order their own analysis (singular
-    /// canonical).
-    amd_perm: OnceLock<Vec<usize>>,
     /// Lazily resolved `OrderingKind::Auto` verdict (`Natural` or
     /// `Amd`); see [`resolve_ordering`](StampPlan::resolve_ordering)
     /// for the two-gate rule. Every input is reproduced
@@ -806,13 +801,13 @@ impl StampPlan {
         }
     }
 
-    /// The AMD permutation of `scope`'s sparse pattern, constructed
-    /// once and shared by every consumer (Auto fill prediction,
-    /// canonical AMD factorization, instances analyzing on their own).
-    pub(crate) fn amd_permutation(&self, scope: PatternScope) -> &Vec<usize> {
-        self.scope_caches(scope)
-            .amd_perm
-            .get_or_init(|| self.sparse_template(scope).pattern().amd_ordering())
+    /// The AMD permutation of `scope`'s sparse pattern, shared by every
+    /// consumer (the canonical AMD factorization, instances analyzing
+    /// on their own). It is cached on the pattern object, so a
+    /// delta-patched variant whose bridge adds no slot keeps the
+    /// nominal pattern's `Arc` and reuses its permutation.
+    pub(crate) fn amd_permutation(&self, scope: PatternScope) -> &[usize] {
+        self.sparse_template(scope).pattern().amd_permutation()
     }
 
     /// Resolves an [`OrderingKind`] against this plan: `Natural` and
@@ -881,7 +876,7 @@ impl StampPlan {
         self.scope_caches(scope)
             .canonical_amd
             .get_or_init(|| {
-                let perm = self.amd_permutation(scope).clone();
+                let perm = self.amd_permutation(scope).to_vec();
                 self.factor_canonical(scope, |lu| lu.set_ordering(perm))
             })
             .clone()
@@ -1610,6 +1605,34 @@ mod tests {
             ),
             "a wave patch must not reset the sparse template"
         );
+    }
+
+    /// A bridge patch that adds no slot keeps the base pattern's `Arc`
+    /// and so shares its AMD permutation, pointer-equal; one that adds
+    /// a slot gets a new pattern whose permutation equals a fresh
+    /// `amd_ordering()` of it.
+    #[test]
+    fn bridge_patches_reuse_the_amd_permutation_only_when_the_pattern_is_unchanged() {
+        let c = patch_fixture();
+        let base = StampPlan::build(&c);
+        let scope = PatternScope::Static;
+        let base_perm = base.amd_permutation(scope);
+        let bridge = |a: &str, b: &str| {
+            let mut bridged = c.clone();
+            let (a, b) = (c.find_node(a).unwrap(), c.find_node(b).unwrap());
+            bridged.add_resistor("F_bridge", a, b, 10e3).unwrap();
+            base.patched_with_device(bridged.device("F_bridge").unwrap())
+        };
+
+        // RD already joins vdd and d: no new slot.
+        let same = bridge("vdd", "d");
+        assert!(std::ptr::eq(same.amd_permutation(scope), base_perm));
+
+        // Nothing joins vdd and g: two new off-diagonal slots.
+        let grown = bridge("vdd", "g");
+        let pattern = grown.sparse_template(scope).pattern();
+        assert!(!std::sync::Arc::ptr_eq(pattern, base.sparse_template(scope).pattern()));
+        assert_eq!(grown.amd_permutation(scope), pattern.amd_ordering().as_slice());
     }
 
     /// A device-add patch (the bridge-fault delta-stamp path) must

@@ -10,16 +10,20 @@
 //! templates, seeded symbolic analyses and Jacobian-reuse keys do, the
 //! numbers cannot move by even one ulp.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
+use castg::core::report::render_pipeline_report;
 use castg::core::synthetic::{LadderMacro, MeshMacro, OtaChainMacro};
 use castg::core::{
-    evaluate_campaign, AnalogMacro, CampaignOptions, CoverageReport, InjectionMode,
+    compact, evaluate_campaign, test_instances_from_compaction, AnalogMacro, CampaignOptions,
+    CompactionOptions, CoverageReport, Evaluator, Generator, GeneratorOptions, InjectionMode,
     NominalCache, TestInstance,
 };
-use castg::faults::{Fault, FaultDictionary, Junction};
+use castg::faults::{Fault, FaultDictionary, FaultKind, Junction};
 use castg::macros::{BjtOpAmp, IvConverter};
-use castg::spice::{OrderingKind, SolverKind};
+use castg::netlist::{NetlistMacro, NetlistMacroOptions};
+use castg::spice::{ladder_stats, Circuit, OrderingKind, SolverKind};
 
 /// Builds a few test instances per configuration of `mac` by scaling
 /// each configuration's seed vector — cheap, deterministic, and enough
@@ -328,4 +332,114 @@ fn forced_solver_kinds_solve_delta_and_rebuilt_identically() {
             }
         }
     }
+}
+
+/// Runs generate → compact → evaluate on `mac` as `castg generate`
+/// does (frugal generator settings) and returns the rendered report
+/// with the coverage it summarizes.
+fn pipeline_report(
+    mac: &dyn AnalogMacro,
+    dict: &FaultDictionary,
+    threads: usize,
+    injection: InjectionMode,
+) -> (String, CoverageReport) {
+    let cache = NominalCache::new();
+    let options = GeneratorOptions { threads, ..castg_bench::golden::golden_options() };
+    let generation = Generator::with_options(mac, &cache, options).generate(dict);
+    assert!(generation.failures.is_empty(), "generation failed: {:?}", generation.failures);
+    let compaction =
+        compact(mac, &cache, &generation, &CompactionOptions::default()).expect("compaction");
+    let tests = test_instances_from_compaction(mac, &compaction).expect("test instances");
+    let campaign = CampaignOptions { threads, injection, ..CampaignOptions::default() };
+    let coverage = evaluate_campaign(mac, &cache, &tests, dict, &campaign).expect("campaign");
+    let report = render_pipeline_report(mac.name(), &generation, &compaction, &coverage);
+    (report, coverage)
+}
+
+fn fixture(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
+}
+
+/// The bipolar op-amp deck with its description files: a nonlinear
+/// described macro, so its faulted DC solves start from the cached
+/// nominal operating point. The whole pipeline report stays
+/// bit-identical at 1 and 4 threads and under delta-patched and
+/// rebuilt injection, the warm start lands plain Newton solves, and
+/// the detected set is the hand-built `BjtOpAmp`'s.
+#[test]
+fn bjt_deck_warm_started_pipeline_is_thread_and_injection_invariant() {
+    let mac = NetlistMacro::from_files(
+        &fixture("bjt_opamp.sp"),
+        &fixture("bjt_configs"),
+        NetlistMacroOptions::default(),
+    )
+    .expect("bipolar deck + configs load");
+    let dict = AnalogMacro::fault_dictionary(&mac);
+
+    let (reference, coverage) = pipeline_report(&mac, &dict, 1, InjectionMode::Delta);
+    assert!(
+        coverage.ladder.plain > 0,
+        "no faulted solve landed on plain Newton: {:?}",
+        coverage.ladder
+    );
+    for (threads, injection) in
+        [(4, InjectionMode::Delta), (1, InjectionMode::Rebuild), (4, InjectionMode::Rebuild)]
+    {
+        let (report, _) = pipeline_report(&mac, &dict, threads, injection);
+        assert!(report == reference, "threads={threads}, injection={injection:?}:\n{report}");
+    }
+
+    let detected = |c: &CoverageReport| -> Vec<String> {
+        c.per_fault.iter().filter(|f| f.detected).map(|f| f.fault.clone()).collect()
+    };
+    let (_, hand_coverage) = pipeline_report(&BjtOpAmp::new(), &dict, 2, InjectionMode::Delta);
+    assert_eq!(detected(&coverage), detected(&hand_coverage));
+}
+
+/// A MOS pinhole splits the channel at a new node, so the variant
+/// leaves the nominal's unknown layout and is measured cold: the
+/// evaluator's faulty returns equal a cold `measure()`'s, bit for bit.
+/// A bridge on the same deck keeps the layout and is warm-started.
+#[test]
+fn pinhole_variant_is_measured_cold() {
+    let mac = NetlistMacro::from_files(
+        &fixture("iv_converter.sp"),
+        &fixture("iv_configs"),
+        NetlistMacroOptions::default(),
+    )
+    .expect("IV deck + configs load");
+    let nominal = mac.nominal_circuit();
+    let configs = mac.configurations();
+    let config = configs.iter().find(|c| c.name() == "dc_transfer").expect("dc config");
+    let params = config.seed();
+    let cache = NominalCache::new();
+    let ev = Evaluator::new(config.as_ref(), &nominal, &cache);
+    let entry = ev.nominal(&params).expect("nominal");
+    assert!(entry.operating_point.is_some(), "a dc() observation reports its point");
+
+    let dict = mac.fault_dictionary();
+    let pinhole = dict.iter().find(|f| f.kind() == FaultKind::Pinhole).unwrap();
+    let variant = pinhole.inject(&nominal).unwrap();
+    assert_eq!(variant.node_count(), nominal.node_count() + 1);
+    let iterations = |f: &dyn Fn()| {
+        let before = ladder_stats();
+        f();
+        ladder_stats().since(&before).iterations
+    };
+    let evaluated = |c: &Circuit| iterations(&|| drop(ev.evaluate_injected(c, &params).unwrap()));
+    let measured = |c: &Circuit| iterations(&|| drop(config.measure(c, &params).unwrap()));
+
+    let report = ev.evaluate_injected(&variant, &params).unwrap();
+    let cold = config.measure(&variant, &params).unwrap();
+    let expected = config.return_values(&cold, &entry.measurement);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&report.faulty_returns), bits(&expected));
+    assert_eq!(evaluated(&variant), measured(&variant));
+
+    // A bridge keeps the layout, so the evaluator warm-starts it: its
+    // Newton work differs from a cold measurement's.
+    let bridge = dict.iter().find(|f| f.kind() == FaultKind::Bridge).unwrap();
+    let bridged = bridge.inject(&nominal).unwrap();
+    assert_eq!(bridged.unknown_count(), nominal.unknown_count());
+    assert_ne!(evaluated(&bridged), measured(&bridged));
 }
